@@ -16,7 +16,7 @@ from maskcheck import (
     parse,
     pretty,
 )
-from maskcheck.expr import binop, var
+from maskcheck.expr import binop, neg, var
 
 d = make_domain(8)
 k = var("k", "secret")
@@ -49,10 +49,10 @@ print(f"\nx2 = {pretty(x2)}")
 print(f"rules alone say: {infer(x2, d).dist}")
 
 # A store of already-settled expressions unblocks dead ends. k & p is
-# UKD on its own; seed its true verdict and the containing product
-# types immediately, because r0 is a fresh dominant mask.
+# UKD on its own; seed its true verdict and its complement types
+# immediately, because complement is a bijection on values.
 inner = binop("&", k, p)
-outer = binop("&", inner, r0)
+outer = neg(inner)
 print(f"\n{pretty(outer)} without store: {infer(outer, d).rule_trace}")
 j = infer(outer, d, store={inner: SDD})
 print(f"{pretty(outer)} with k & p settled as SDD: {j.dist} via {j.rule_trace}")

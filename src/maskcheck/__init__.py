@@ -63,6 +63,7 @@ from .expr import (
     eval_vec,
     neg,
     occurrences,
+    postorder,
     pretty,
     replace,
     rvars,

@@ -7,8 +7,8 @@ Two subcommands:
   corpus by default) and prints one summary row per program.
 
 Exit codes: 0 perfectly masked, 1 at least one leaky variable,
-2 usage or parse error, 3 inconclusive (unknown verdicts remain but
-nothing was proven leaky).
+2 usage, parse or internal error, 3 inconclusive (unknown verdicts
+remain but nothing was proven leaky).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from pathlib import Path
 
 from .counting import DEFAULT_BUDGET
 from .domain import make_domain
-from .errors import MaskcheckError
 from .infer import SDD, UKD
 from .program import parse
 from .reduction import BUILTIN_META, load_meta_patterns
@@ -163,7 +162,8 @@ def _run_file(path: Path, args) -> tuple[Report | None, str | None]:
         else:
             report = pm_check(program, cfg)
         return report, None
-    except (MaskcheckError, ValueError, OSError) as err:
+    except Exception as err:
+        # any failure, expected or not, must not read as exit 1 ("leaky")
         return None, f"{type(err).__name__}: {err}"
 
 

@@ -8,6 +8,10 @@ tree semantically, but shared subtrees are stored once, and all the
 per-node analyses (variable counts, sizes, evaluation) memoize on node
 identity.
 
+Every analysis walks an expression with `postorder`: its distinct nodes,
+children first, from an explicit stack, since expansion depth grows with
+program length. The global memos stop the walk at nodes they hold.
+
 Tree-level quantities such as size and variable multiplicity still
 count shared subtrees once per occurrence, matching the semantics of
 the expanded tree.
@@ -130,6 +134,43 @@ def children(e: Expr) -> tuple[Expr, ...]:
     return ()
 
 
+def postorder(e: Expr, stop=None) -> list[Expr]:
+    """Distinct nodes of e, children before parents (left before right).
+
+    Walks with an explicit stack, so depth is unbounded. When
+    `stop(node)` is true the node is listed but not descended into.
+    """
+    def below(node):
+        return iter(() if stop is not None and stop(node) else children(node))
+
+    order: list[Expr] = []
+    seen = {e}
+    stack = [(e, below(e))]     # (node, its children not yet taken)
+    while stack:
+        node, kids = stack[-1]
+        for c in kids:
+            if c not in seen:
+                seen.add(c)
+                stack.append((c, below(c)))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
+
+
+def rebuild(node: Expr, kids: tuple[Expr, ...]) -> Expr:
+    """node with its children replaced by kids; node itself if unchanged."""
+    if isinstance(node, Binary):
+        left, right = kids
+        if left is node.left and right is node.right:
+            return node
+        return binop(node.op, left, right)
+    if isinstance(node, Unary):
+        return node if kids[0] is node.operand else neg(kids[0])
+    return node
+
+
 # --- memoized tree analyses ------------------------------------------------
 
 _SIZE: dict[Expr, int] = {}
@@ -141,8 +182,10 @@ def size(e: Expr) -> int:
     """Node count of the expanded tree (shared nodes count per occurrence)."""
     got = _SIZE.get(e)
     if got is None:
-        got = 1 + sum(size(c) for c in children(e))
-        _SIZE[e] = got
+        for node in postorder(e, _SIZE.__contains__):
+            if node not in _SIZE:
+                _SIZE[node] = 1 + sum(_SIZE[c] for c in children(node))
+        got = _SIZE[e]
     return got
 
 
@@ -150,15 +193,17 @@ def var_counts(e: Expr) -> Counter:
     """Occurrences of each Var leaf, with tree multiplicity."""
     got = _COUNTS.get(e)
     if got is None:
-        if isinstance(e, Var):
-            got = Counter({e: 1})
-        elif isinstance(e, Const):
-            got = Counter()
-        else:
-            got = Counter()
-            for c in children(e):
-                got.update(var_counts(c))
-        _COUNTS[e] = got
+        for node in postorder(e, _COUNTS.__contains__):
+            if node in _COUNTS:
+                continue
+            if isinstance(node, Var):
+                counts = Counter({node: 1})
+            else:
+                counts = Counter()
+                for c in children(node):
+                    counts.update(_COUNTS[c])
+            _COUNTS[node] = counts
+        got = _COUNTS[e]
     return got
 
 
@@ -179,58 +224,23 @@ def var_leaves(e: Expr) -> set[Var]:
 def occurrences(e: Expr, t: Expr) -> int:
     """How many times subterm t occurs in the tree of e."""
     memo: dict[Expr, int] = {}
-
-    def walk(node):
-        if node is t:
-            return 1
-        got = memo.get(node)
-        if got is None:
-            got = sum(walk(c) for c in children(node))
-            memo[node] = got
-        return got
-
-    return walk(e)
+    for node in postorder(e, lambda n: n is t):
+        memo[node] = 1 if node is t else sum(memo[c] for c in children(node))
+    return memo[e]
 
 
 def replace(e: Expr, t: Expr, s: Expr) -> Expr:
     """Replace every occurrence of subterm t in e with s."""
     memo: dict[Expr, Expr] = {}
-
-    def walk(node):
-        if node is t:
-            return s
-        got = memo.get(node)
-        if got is None:
-            if isinstance(node, Binary):
-                left = walk(node.left)
-                right = walk(node.right)
-                got = node if left is node.left and right is node.right \
-                    else binop(node.op, left, right)
-            elif isinstance(node, Unary):
-                inner = walk(node.operand)
-                got = node if inner is node.operand else neg(inner)
-            else:
-                got = node
-            memo[node] = got
-        return got
-
-    return walk(e)
+    for node in postorder(e, lambda n: n is t):
+        memo[node] = s if node is t else \
+            rebuild(node, tuple(memo[c] for c in children(node)))
+    return memo[e]
 
 
 def subterms(e: Expr) -> list[Expr]:
     """Distinct subterms of e, innermost first (size, then print order)."""
-    seen: set[Expr] = set()
-    out: list[Expr] = []
-
-    def walk(node):
-        if node in seen:
-            return
-        seen.add(node)
-        for c in children(node):
-            walk(c)
-        out.append(node)
-
-    walk(e)
+    out = postorder(e)
     out.sort(key=lambda t: (size(t), pretty(t)))
     return out
 
@@ -239,19 +249,23 @@ def pretty(e: Expr) -> str:
     """Fully parenthesized rendering; reparses to the same tree."""
     got = _PRETTY.get(e)
     if got is None:
-        if isinstance(e, Const):
-            got = str(e.value)
-        elif isinstance(e, Var):
-            got = e.name
-        elif isinstance(e, Unary):
-            inner = pretty(e.operand)
-            if isinstance(e.operand, (Binary, Unary)):
-                got = f"~({inner})"
+        for node in postorder(e, _PRETTY.__contains__):
+            if node in _PRETTY:
+                continue
+            if isinstance(node, Const):
+                text = str(node.value)
+            elif isinstance(node, Var):
+                text = node.name
+            elif isinstance(node, Unary):
+                inner = _PRETTY[node.operand]
+                if isinstance(node.operand, (Binary, Unary)):
+                    text = f"~({inner})"
+                else:
+                    text = f"~{inner}"
             else:
-                got = f"~{inner}"
-        else:
-            got = f"({pretty(e.left)} {e.op} {pretty(e.right)})"
-        _PRETTY[e] = got
+                text = f"({_PRETTY[node.left]} {node.op} {_PRETTY[node.right]})"
+            _PRETTY[node] = text
+        got = _PRETTY[e]
     return got
 
 
@@ -260,74 +274,78 @@ def pretty(e: Expr) -> str:
 def eval_expr(e: Expr, env: dict[str, int], d: DomainConfig) -> int:
     """Evaluate with scalar ints from env; constants wrap mod 2^bits."""
     memo: dict[Expr, int] = {}
+    for node in postorder(e):
+        if isinstance(node, Const):
+            got = node.value & d.mask
+        elif isinstance(node, Var):
+            got = env[node.name] & d.mask
+        elif isinstance(node, Unary):
+            got = eval_op("~", memo[node.operand], None, d)
+        elif node.op in SHIFT_OPS:
+            if not isinstance(node.right, Const):
+                raise ShiftOutOfRange("shift amount must be a constant")
+            got = eval_op(node.op, memo[node.left], node.right.value, d)
+        else:
+            got = eval_op(node.op, memo[node.left], memo[node.right], d)
+        memo[node] = got
+    return memo[e]
 
-    def walk(node):
-        got = memo.get(node)
-        if got is None:
-            if isinstance(node, Const):
-                got = node.value & d.mask
-            elif isinstance(node, Var):
-                got = env[node.name] & d.mask
-            elif isinstance(node, Unary):
-                got = eval_op("~", walk(node.operand), None, d)
-            else:
-                if node.op in SHIFT_OPS:
-                    if not isinstance(node.right, Const):
-                        raise ShiftOutOfRange("shift amount must be a constant")
-                    got = eval_op(node.op, walk(node.left), node.right.value, d)
-                else:
-                    got = eval_op(node.op, walk(node.left), walk(node.right), d)
-            memo[node] = got
-        return got
 
-    return walk(e)
+_VEC_OPS = {"^": np.bitwise_xor, "&": np.bitwise_and, "|": np.bitwise_or,
+            "+": np.add, "-": np.subtract, "*": np.multiply}
+_WRAPPING_OPS = ("+", "-", "*")
 
 
 def eval_vec(e: Expr, env: dict[str, np.ndarray], d: DomainConfig) -> np.ndarray:
     """Evaluate elementwise over numpy uint32 arrays (broadcasting allowed).
 
+    Each intermediate array is dropped after its last use, so the live
+    set stays near the widest cut of the expression, not its size.
     Wraparound of +, - and * is the intended modular semantics, so the
     numpy overflow warning (emitted only for scalar operands) is off.
     """
     mask = np.uint32(d.mask)
-    memo: dict[Expr, np.ndarray] = {}
+    order = postorder(e)
+    slots: dict[Expr, list] = {}    # node -> [value, uses still to come]
+    for node in order:
+        slots[node] = [None, 0]
+        for c in children(node):
+            slots[c][1] += 1
 
-    def walk(node):
-        got = memo.get(node)
-        if got is None:
+    def take(node):
+        slot = slots[node]
+        value = slot[0]
+        slot[1] -= 1
+        if not slot[1]:
+            slot[0] = None
+        return value
+
+    with np.errstate(over="ignore"):
+        for node in order:
             if isinstance(node, Const):
                 got = np.uint32(node.value & d.mask)
             elif isinstance(node, Var):
                 got = env[node.name]
             elif isinstance(node, Unary):
-                got = ~walk(node.operand) & mask
-            elif node.op == "^":
-                got = walk(node.left) ^ walk(node.right)
-            elif node.op == "&":
-                got = walk(node.left) & walk(node.right)
-            elif node.op == "|":
-                got = walk(node.left) | walk(node.right)
-            elif node.op == "+":
-                got = (walk(node.left) + walk(node.right)) & mask
-            elif node.op == "-":
-                got = (walk(node.left) - walk(node.right)) & mask
-            elif node.op == "*":
-                got = (walk(node.left) * walk(node.right)) & mask
-            elif node.op == "@":
-                got = gf_mul_vec(walk(node.left), walk(node.right), d)
-            else:
+                got = ~take(node.operand) & mask
+            elif node.op in SHIFT_OPS:
                 if not isinstance(node.right, Const):
                     raise ShiftOutOfRange("shift amount must be a constant")
                 amount = node.right.value
                 if not 0 <= amount < d.bits:
                     raise ShiftOutOfRange(
                         f"shift amount {amount} outside [0, {d.bits})")
+                take(node.right)
                 if node.op == "<<":
-                    got = (walk(node.left) << np.uint32(amount)) & mask
+                    got = (take(node.left) << np.uint32(amount)) & mask
                 else:
-                    got = walk(node.left) >> np.uint32(amount)
-            memo[node] = got
-        return got
-
-    with np.errstate(over="ignore"):
-        return walk(e)
+                    got = take(node.left) >> np.uint32(amount)
+            elif node.op == "@":
+                got = gf_mul_vec(take(node.left), take(node.right), d)
+            else:
+                got = _VEC_OPS[node.op](take(node.left), take(node.right))
+                if node.op in _WRAPPING_OPS:
+                    got &= mask
+            slots[node][0] = got
+            del got
+        return slots[e][0]

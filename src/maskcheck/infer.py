@@ -19,6 +19,11 @@ so the outcome is deterministic. An optional store of already-resolved
 expression types is consulted before giving up with UKD, which lets
 verdicts established by model counting propagate into later, larger
 expressions.
+
+Inference walks an explicit stack and stays lazy: the rules that need
+nothing from the children (dominant, no-secret, secret, self-cancel)
+run first, and only a node they leave undecided has its children typed
+before the combining rules run on it.
 """
 
 from __future__ import annotations
@@ -74,6 +79,17 @@ def _const_invertible(c: ex.Const, op: str, d: DomainConfig | None) -> bool:
     return value != 0
 
 
+def _opaque(node: ex.Expr, d: DomainConfig | None) -> bool:
+    """Does uniformity fail to pass up through node from its operands?"""
+    if isinstance(node, ex.Binary) and node.op not in _BIJECTIVE_OPS:
+        # a product with an invertible constant is a bijection of the
+        # other operand; the constant itself holds no random variable
+        return node.op not in _MUL_OPS or not any(
+            isinstance(c, ex.Const) and _const_invertible(c, node.op, d)
+            for c in (node.left, node.right))
+    return False    # complement, and leaves
+
+
 def dominant_vars(e: ex.Expr, d: DomainConfig | None = None) -> set[str]:
     """Random variables that occur once and dominate the expression.
 
@@ -85,34 +101,78 @@ def dominant_vars(e: ex.Expr, d: DomainConfig | None = None) -> set[str]:
     once = {v.name for v, k in counts.items() if v.kind == ex.RANDOM and k == 1}
     if not once:
         return set()
+    return once & {node.name for node in
+                   ex.postorder(e, lambda node: _opaque(node, d))
+                   if isinstance(node, ex.Var)}
 
-    reachable: set[str] = set()
-    seen: set[ex.Expr] = set()
 
-    def walk(node):
-        if node in seen:
-            return
-        seen.add(node)
-        if isinstance(node, ex.Var):
-            if node.kind == ex.RANDOM:
-                reachable.add(node.name)
-        elif isinstance(node, ex.Unary):
-            walk(node.operand)
-        elif isinstance(node, ex.Binary):
-            if node.op in _BIJECTIVE_OPS:
-                walk(node.left)
-                walk(node.right)
-            elif node.op in _MUL_OPS:
-                if isinstance(node.right, ex.Const) and \
-                        _const_invertible(node.right, node.op, d):
-                    walk(node.left)
-                if isinstance(node.left, ex.Const) and \
-                        _const_invertible(node.left, node.op, d):
-                    walk(node.right)
-            # &, | and shifts do not preserve uniformity
+def _is_secret(node: ex.Expr) -> bool:
+    return isinstance(node, ex.Var) and node.kind == ex.SECRET
 
-    walk(e)
-    return reachable & once
+
+def _closed(node: ex.Expr, d: DomainConfig | None) -> Judgement | None:
+    """The rules that decide a node without typing its children."""
+    # dominant random variable: uniform outright
+    if dominant_vars(node, d):
+        return Judgement(node, RUD, ("dominant",))
+    # no secret anywhere: the distribution cannot depend on one
+    if not any(v.kind == ex.SECRET for v in ex.var_counts(node)):
+        return Judgement(node, SID, ("no-secret",))
+    if _is_secret(node):
+        return Judgement(node, SDD, ("secret",))
+    # e (+) e collapses to a constant
+    if isinstance(node, ex.Binary) and node.left is node.right and \
+            node.op in ("^", "-"):
+        return Judgement(node, SID, ("self-cancel",))
+    return None
+
+
+def _combined(node: ex.Expr, d: DomainConfig | None,
+              judged: dict[ex.Expr, Judgement]) -> Judgement | None:
+    """The rules that decide a node from its children's judgements."""
+    if isinstance(node, ex.Unary):
+        # complement is a bijection on values: type carries over
+        sub = judged[node.operand]
+        if sub.dist is not UKD:
+            return Judgement(node, sub.dist, sub.rule_trace + ("complement",))
+        return None
+    left, right, op = node.left, node.right, node.op    # leaves never get here
+    lj, rj = judged[left], judged[right]
+    if left is right:
+        # e op e is a pointwise function of e
+        if at_most_sid(lj.dist):
+            return Judgement(node, SID, lj.rule_trace + ("self-op",))
+        if lj.dist is SDD and op in ("&", "|"):
+            return Judgement(node, SDD, lj.rule_trace + ("self-absorb",))
+
+    both = lj.rule_trace + rj.rule_trace
+    # uniform x uniform with a fresh dominant on one side
+    if op in _PRODUCT_OPS and lj.dist is RUD and rj.dist is RUD:
+        if dominant_vars(left, d) - ex.rvars(right):
+            return Judgement(node, SID, both + ("masked-product",))
+        if dominant_vars(right, d) - ex.rvars(left):
+            return Judgement(node, SID, both + ("masked-product", "commute"))
+
+    # independent secret-independent operands
+    if at_most_sid(lj.dist) and at_most_sid(rj.dist) and \
+            not (ex.rvars(left) & ex.rvars(right)):
+        return Judgement(node, SID, both + ("independent-op",))
+
+    # a bare secret times a freshly-masked uniform: the secret's values
+    # 0 and all-ones (1 for `@` and `*`) give a point mass and a uniform
+    # distribution; other dependent operands may never take those values
+    if op in _PRODUCT_OPS:
+        if _is_secret(left) and rj.dist is RUD and \
+                dominant_vars(right, d) - ex.rvars(left):
+            return Judgement(node, SDD, both + ("tainted-product",))
+        if _is_secret(right) and lj.dist is RUD and \
+                dominant_vars(left, d) - ex.rvars(right):
+            return Judgement(node, SDD,
+                             both + ("tainted-product", "commute"))
+    return None
+
+
+_UNSEEN = object()
 
 
 def infer(e: ex.Expr, d: DomainConfig | None = None,
@@ -122,89 +182,27 @@ def infer(e: ex.Expr, d: DomainConfig | None = None,
     `store` maps already-resolved expressions to their types; it is
     consulted only where the rules would otherwise answer UKD.
     """
-    memo: dict[ex.Expr, Judgement] = {}
-
-    def derive(node: ex.Expr) -> Judgement:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        got = _derive(node)
-        memo[node] = got
-        return got
-
-    def _derive(node: ex.Expr) -> Judgement:
-        # dominant random variable: uniform outright
-        if dominant_vars(node, d):
-            return Judgement(node, RUD, ("dominant",))
-        # no secret anywhere: the distribution cannot depend on one
-        counts = ex.var_counts(node)
-        if not any(v.kind == ex.SECRET for v in counts):
-            return Judgement(node, SID, ("no-secret",))
-        if isinstance(node, ex.Var) and node.kind == ex.SECRET:
-            return Judgement(node, SDD, ("secret",))
-
-        if isinstance(node, ex.Binary):
-            left, right, op = node.left, node.right, node.op
-            # e (+) e collapses to a constant
-            if left is right and op in ("^", "-"):
-                return Judgement(node, SID, ("self-cancel",))
-        if isinstance(node, ex.Unary):
-            # complement is a bijection on values: type carries over
-            sub = derive(node.operand)
-            if sub.dist is not UKD:
-                return Judgement(node, sub.dist, sub.rule_trace + ("complement",))
-        if isinstance(node, ex.Binary):
-            left, right, op = node.left, node.right, node.op
-            if left is right:
-                sub = derive(left)
-                # e op e is a pointwise function of e
-                if at_most_sid(sub.dist):
-                    return Judgement(node, SID, sub.rule_trace + ("self-op",))
-                if sub.dist is SDD and op in ("&", "|"):
-                    return Judgement(node, SDD,
-                                     sub.rule_trace + ("self-absorb",))
-
-            lj = derive(left)
-            rj = derive(right)
-
-            # uniform x uniform with a fresh dominant on one side
-            if op in _PRODUCT_OPS:
-                if lj.dist is RUD and rj.dist is RUD:
-                    if dominant_vars(left, d) - ex.rvars(right):
-                        return Judgement(
-                            node, SID,
-                            lj.rule_trace + rj.rule_trace + ("masked-product",))
-                    if dominant_vars(right, d) - ex.rvars(left):
-                        return Judgement(
-                            node, SID,
-                            lj.rule_trace + rj.rule_trace
-                            + ("masked-product", "commute"))
-
-            # independent secret-independent operands
-            if at_most_sid(lj.dist) and at_most_sid(rj.dist) and \
-                    not (ex.rvars(left) & ex.rvars(right)):
-                return Judgement(
-                    node, SID,
-                    lj.rule_trace + rj.rule_trace + ("independent-op",))
-
-            # dependent x freshly-masked uniform stays dependent
-            if op in _PRODUCT_OPS:
-                if lj.dist is SDD and rj.dist is RUD and \
-                        dominant_vars(right, d) - ex.rvars(left):
-                    return Judgement(
-                        node, SDD,
-                        lj.rule_trace + rj.rule_trace + ("tainted-product",))
-                if rj.dist is SDD and lj.dist is RUD and \
-                        dominant_vars(left, d) - ex.rvars(right):
-                    return Judgement(
-                        node, SDD,
-                        lj.rule_trace + rj.rule_trace
-                        + ("tainted-product", "commute"))
-
-        if store is not None:
-            known = store.get(node)
-            if known is not None and known is not UKD:
-                return Judgement(node, known, ("recalled",))
-        return Judgement(node, UKD, ("unknown",))
-
-    return derive(e)
+    # None marks a node whose closed rules failed and whose children
+    # are being typed; it is taken up again once they are
+    judged: dict[ex.Expr, Judgement | None] = {}
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        got = judged.get(node, _UNSEEN)
+        if got is _UNSEEN:
+            got = _closed(node, d)
+            if got is None:
+                judged[node] = None
+                stack.append(node)
+                stack.extend(ex.children(node))
+                continue
+        elif got is None:
+            got = _combined(node, d, judged)
+            if got is None:
+                known = store.get(node, UKD) if store else UKD
+                got = Judgement(node, known, ("unknown",) if known is UKD
+                                else ("recalled",))
+        else:
+            continue
+        judged[node] = got
+    return judged[e]

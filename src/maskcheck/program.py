@@ -13,14 +13,17 @@ return list::
 
 Operator precedence climbs through five levels, loosest first:
 shifts, then & and |, then ^, then + and -, then * and @; unary ~
-binds tightest. `#` starts a line comment. Statements whose right-hand
-side uses more than one operator are split into fresh `_tN` temporaries
-so that every stored statement applies at most one operator.
+binds tightest. `#` starts a line comment. Parentheses and `~` nest at
+most MAX_NESTING deep, the only recursion in the module. Statements
+whose right-hand side uses more than one operator are split into fresh
+`_tN` temporaries so that every stored statement applies at most one
+operator.
 
 expr_of() substitutes the statement chain into a closed expression over
-the program inputs. Shared intermediate results are duplicated
-semantically (the result is a tree over inputs) but interned structurally,
-so the expansion stays cheap to hold in memory.
+the program inputs, one statement at a time in program order. Shared
+intermediate results are duplicated semantically (the result is a tree
+over inputs) but interned structurally, so the expansion stays cheap to
+hold in memory.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from .errors import (
     UnknownVariable,
     UseBeforeDef,
 )
+
+MAX_NESTING = 100    # deepest `(`/`~` nesting: the parser recurses on it
 
 _PRECEDENCE = {
     "<<": 1, ">>": 1,
@@ -170,6 +175,7 @@ class _Parser:
     def __init__(self, toks: list[_Token]):
         self.toks = toks
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.toks[self.pos]
@@ -208,13 +214,17 @@ class _Parser:
 
     def atom(self, kinds: dict[str, str]) -> ex.Expr:
         tok = self.peek()
-        if tok.text == "~":
+        if tok.text in ("~", "("):
+            if self.depth == MAX_NESTING:
+                self.fail(f"nesting of '(' and '~' deeper than {MAX_NESTING}")
             self.next()
-            return ex.neg(self.atom(kinds))
-        if tok.text == "(":
-            self.next()
-            inner = self.expression(kinds)
-            self.expect(")")
+            self.depth += 1
+            if tok.text == "~":
+                inner = ex.neg(self.atom(kinds))
+            else:
+                inner = self.expression(kinds)
+                self.expect(")")
+            self.depth -= 1
             return inner
         if tok.kind == "num":
             self.next()
@@ -232,14 +242,11 @@ class _Parser:
 
 def _check_shifts(e: ex.Expr):
     """Shift amounts must be literal constants (checked before splitting)."""
-    if isinstance(e, ex.Binary):
-        if e.op in ex.SHIFT_OPS and not isinstance(e.right, ex.Const):
+    for node in ex.postorder(e):
+        if isinstance(node, ex.Binary) and node.op in ex.SHIFT_OPS and \
+                not isinstance(node.right, ex.Const):
             raise NonConstShift(
-                f"shift amount must be a constant, got {ex.pretty(e.right)}")
-        _check_shifts(e.left)
-        _check_shifts(e.right)
-    elif isinstance(e, ex.Unary):
-        _check_shifts(e.operand)
+                f"shift amount must be a constant, got {ex.pretty(node.right)}")
 
 
 def _is_leaf(e: ex.Expr) -> bool:
@@ -247,24 +254,26 @@ def _is_leaf(e: ex.Expr) -> bool:
 
 
 def _split(target: str, rhs: ex.Expr, out: list[Statement], fresh) -> None:
-    """Append single-operator statements computing rhs into target."""
+    """Append single-operator statements computing rhs into target.
 
-    def reduce_to_leaf(e: ex.Expr) -> ex.Expr:
-        if _is_leaf(e):
-            return e
-        name = fresh()
-        _split(name, e, out, fresh)
-        return ex.var(name, ex.INTERNAL)
-
-    if isinstance(rhs, ex.Binary):
-        left = reduce_to_leaf(rhs.left)
-        # shift amounts are constants already; only the left side recurses
-        right = rhs.right if rhs.op in ex.SHIFT_OPS else reduce_to_leaf(rhs.right)
-        out.append(Statement(target, ex.binop(rhs.op, left, right)))
-    elif isinstance(rhs, ex.Unary):
-        out.append(Statement(target, ex.neg(reduce_to_leaf(rhs.operand))))
-    else:
-        out.append(Statement(target, rhs))
+    Fresh names go to non-leaf operands in pre-order and statements come
+    out in post-order, once per occurrence of a subtree.
+    """
+    stack = [(target, rhs, [])]     # (name, node, operands made leaves)
+    while stack:
+        name, node, leaves = stack[-1]
+        operands = ex.children(node)
+        if len(leaves) < len(operands):
+            operand = operands[len(leaves)]
+            if _is_leaf(operand):
+                leaves.append(operand)
+            else:
+                sub = fresh()
+                leaves.append(ex.var(sub, ex.INTERNAL))
+                stack.append((sub, operand, []))
+            continue
+        stack.pop()
+        out.append(Statement(name, ex.rebuild(node, tuple(leaves))))
 
 
 def parse(text: str) -> Program:
@@ -348,28 +357,22 @@ def parse(text: str) -> Program:
 
 def expr_of(p: Program, x: str) -> ex.Expr:
     """Closed expression over program inputs computed by internal variable x."""
-    if x in p._expansions:
-        return p._expansions[x]
-    rhs_by_target = {s.target: s.rhs for s in p.statements}
-    if x not in rhs_by_target:
+    done = p._expansions
+
+    def expand(leaf: ex.Expr) -> ex.Expr:
+        internal = isinstance(leaf, ex.Var) and leaf.kind == ex.INTERNAL
+        return done[leaf.name] if internal else leaf
+
+    # expansions fill in statement order, and each right-hand side has
+    # at most one operator, so one step substitutes its operands
+    while x not in done and len(done) < len(p.statements):
+        stmt = p.statements[len(done)]
+        rhs = stmt.rhs
+        done[stmt.target] = expand(rhs) if _is_leaf(rhs) else \
+            ex.rebuild(rhs, tuple(map(expand, ex.children(rhs))))
+    if x not in done:
         raise UnknownVariable(f"{x!r} is not an internal variable")
-
-    def expand(e: ex.Expr) -> ex.Expr:
-        if isinstance(e, ex.Var) and e.kind == ex.INTERNAL:
-            got = p._expansions.get(e.name)
-            if got is None:
-                got = expand(rhs_by_target[e.name])
-                p._expansions[e.name] = got
-            return got
-        if isinstance(e, ex.Binary):
-            return ex.binop(e.op, expand(e.left), expand(e.right))
-        if isinstance(e, ex.Unary):
-            return ex.neg(expand(e.operand))
-        return e
-
-    result = expand(rhs_by_target[x])
-    p._expansions[x] = result
-    return result
+    return done[x]
 
 
 def execute(p: Program, env: dict[str, int], d: DomainConfig) -> dict[str, int]:

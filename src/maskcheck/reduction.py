@@ -75,38 +75,19 @@ _UNIT_OPS = ("*", "@")
 
 def apply_algebraic_laws(e: ex.Expr) -> ex.Expr:
     """Rewrite with the local identity/annihilator laws to a fixpoint."""
-
-    def once(root):
-        memo = {}
-
-        def walk(node):
-            got = memo.get(node)
-            if got is not None:
-                return got
-            if isinstance(node, ex.Binary):
-                left = walk(node.left)
-                right = walk(node.right)
-                new = _match_law(node.op, left, right)
-                if new is None:
-                    new = node if left is node.left and right is node.right \
-                        else ex.binop(node.op, left, right)
-            elif isinstance(node, ex.Unary):
-                inner = walk(node.operand)
-                if isinstance(inner, ex.Unary):
-                    new = inner.operand
-                else:
-                    new = node if inner is node.operand else ex.neg(inner)
-            else:
-                new = node
-            memo[node] = new
-            return new
-
-        return walk(root)
-
     prev = None
     while e is not prev:
         prev = e
-        e = once(e)
+        memo: dict[ex.Expr, ex.Expr] = {}
+        for node in ex.postorder(e):
+            kids = tuple(memo[c] for c in ex.children(node))
+            new = None
+            if isinstance(node, ex.Binary):
+                new = _match_law(node.op, *kids)
+            elif isinstance(node, ex.Unary) and isinstance(kids[0], ex.Unary):
+                new = kids[0].operand
+            memo[node] = ex.rebuild(node, kids) if new is None else new
+        e = memo[e]
     return e
 
 

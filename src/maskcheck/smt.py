@@ -103,28 +103,25 @@ def _gfmul_define(d: DomainConfig) -> str:
     return "\n".join(lines)
 
 
-def _term(e: ex.Expr, d: DomainConfig, rand_values: dict[str, int],
-          primed: bool, cache: dict) -> str:
-    """Render e with randoms substituted; secrets primed on request."""
-    key = (e, primed)
-    got = cache.get(key)
-    if got is not None:
-        return got
+def _term(order: list[ex.Expr], d: DomainConfig, rand_values: dict[str, int],
+          primed: bool) -> str:
+    """Render the root of `order` (a post-order) with randoms
+    substituted; secrets primed on request."""
     n = d.bits
-    if isinstance(e, ex.Const):
-        got = _bv(e.value & d.mask, n)
-    elif isinstance(e, ex.Var):
-        if e.kind == ex.RANDOM:
-            got = _bv(rand_values[e.name] & d.mask, n)
-        elif e.kind == ex.SECRET:
-            got = f"kk_{e.name}" if primed else f"k_{e.name}"
-        else:
-            got = f"p_{e.name}"
-    elif isinstance(e, ex.Unary):
-        got = f"(bvnot {_term(e.operand, d, rand_values, primed, cache)})"
-    else:
-        left = _term(e.left, d, rand_values, primed, cache)
-        if e.op in ex.SHIFT_OPS:
+    text: dict[ex.Expr, str] = {}
+    for e in order:
+        if isinstance(e, ex.Const):
+            got = _bv(e.value & d.mask, n)
+        elif isinstance(e, ex.Var):
+            if e.kind == ex.RANDOM:
+                got = _bv(rand_values[e.name] & d.mask, n)
+            elif e.kind == ex.SECRET:
+                got = f"kk_{e.name}" if primed else f"k_{e.name}"
+            else:
+                got = f"p_{e.name}"
+        elif isinstance(e, ex.Unary):
+            got = f"(bvnot {text[e.operand]})"
+        elif e.op in ex.SHIFT_OPS:
             if not isinstance(e.right, ex.Const):
                 raise ShiftOutOfRange("shift amount must be a constant")
             amount = e.right.value
@@ -132,14 +129,13 @@ def _term(e: ex.Expr, d: DomainConfig, rand_values: dict[str, int],
                 raise ShiftOutOfRange(
                     f"shift amount {amount} outside [0, {n})")
             fn = "bvshl" if e.op == "<<" else "bvlshr"
-            got = f"({fn} {left} {_bv(amount, n)})"
+            got = f"({fn} {text[e.left]} {_bv(amount, n)})"
         else:
-            right = _term(e.right, d, rand_values, primed, cache)
             fn = {"^": "bvxor", "&": "bvand", "|": "bvor", "+": "bvadd",
                   "-": "bvsub", "*": "bvmul", "@": "gfmul"}[e.op]
-            got = f"({fn} {left} {right})"
-    cache[key] = got
-    return got
+            got = f"({fn} {text[e.left]} {text[e.right]})"
+        text[e] = got
+    return text[order[-1]]
 
 
 def _balanced_sum(names: list[str], adder: str) -> str:
@@ -178,7 +174,8 @@ def encode_psi(e: ex.Expr, q, d: DomainConfig,
         f"; bits {n}, modulus {d.poly:#x}, copies 2^{m}, delta {delta}",
         "(set-logic QF_BV)" if profile == "bv" else "(set-logic ALL)",
     ]
-    if any(isinstance(t, ex.Binary) and t.op == "@" for t in ex.subterms(e)):
+    order = ex.postorder(e)
+    if any(isinstance(t, ex.Binary) and t.op == "@" for t in order):
         lines.append(_gfmul_define(d))
     for name in publics:
         lines.append(f"(declare-fun p_{name} () (_ BitVec {n}))")
@@ -187,7 +184,6 @@ def encode_psi(e: ex.Expr, q, d: DomainConfig,
         lines.append(f"(declare-fun kk_{name} () (_ BitVec {n}))")
     lines.append(f"(declare-fun c () (_ BitVec {n}))")
 
-    cache: dict = {}
     mask = d.mask
     for t in range(copies):
         rand_values = {
@@ -197,8 +193,7 @@ def encode_psi(e: ex.Expr, q, d: DomainConfig,
         for prefix, primed in (("c", False), ("d", True)):
             lines.append(
                 f"(define-fun {prefix}_{t} () (_ BitVec {n}) "
-                f"{_term(e, d, rand_values, primed, cache)})")
-        cache.clear()  # rand_values change every copy
+                f"{_term(order, d, rand_values, primed)})")
 
     width = m + 2
     if profile == "bv":

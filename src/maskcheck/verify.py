@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,7 +64,6 @@ class EngineConfig:
     oracles: list = field(default_factory=list)
     meta_patterns: list | None = None
     emit_smt_dir: str | Path | None = None
-    parallel_variables: bool = False
 
     def __post_init__(self):
         if self.engine not in ENGINES:
@@ -206,16 +204,7 @@ def pm_check(p: Program, cfg: EngineConfig) -> Report:
     started = time.monotonic()
     store: dict[ex.Expr, DistType] = {}
     hats: dict[str, ex.Expr] = {}
-    names = p.internals
-    if cfg.parallel_variables and cfg.jobs > 1:
-        # independent analyses against store snapshots; results merged
-        # in SSA order so the outcome matches the serial run
-        def task(x):
-            return _classify(p, x, cfg, dict(store), hats)
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            verdicts = list(pool.map(task, names))
-    else:
-        verdicts = [_classify(p, x, cfg, store, hats) for x in names]
+    verdicts = [_classify(p, x, cfg, store, hats) for x in p.internals]
     return Report(p.name, cfg.domain.bits, cfg.domain.poly, verdicts,
                   elapsed=time.monotonic() - started, reduced=hats)
 

@@ -1,11 +1,16 @@
 """End-to-end command-line behavior: exit codes, text and JSON output."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from maskcheck import report_from_dict
+import maskcheck
+from maskcheck import cli, report_from_dict
 from maskcheck.cli import build_parser, corpus_dir, main, run
 
 CUBE = str(corpus_dir() / "cube.mv")
@@ -75,6 +80,27 @@ class TestCheckExitCodes:
 
     def test_main_wrapper(self, capsys):
         assert main(["check", SECMULT]) == 0
+
+    def test_internal_error_is_not_leaky(self, monkeypatch, capsys):
+        def broken(p, cfg):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "pm_check", broken)
+        assert run(["check", CUBE]) == 2
+        assert "RuntimeError: boom" in capsys.readouterr().err
+        assert run(["corpus", "--format", "json"]) == 3
+        docs = json.loads(capsys.readouterr().out)
+        assert {d["error"] for d in docs} == {"RuntimeError: boom"}
+
+    def test_python_dash_m(self):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(maskcheck.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "maskcheck", "check", CUBE],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 1
+        assert proc.stdout.startswith("Cube: 8-bit field, poly 0x11d\n")
+        assert "  x2   SDD   counting-bruteforce" in proc.stdout
+        assert proc.stdout.endswith("perfectly masked: no\n")
 
 
 class TestCheckTextOutput:

@@ -1,0 +1,123 @@
+"""Expression depth and buffer lifetime: long programs expand into deep
+expressions, and no stage may recurse on that depth or keep dead
+intermediate arrays alive."""
+
+import gc
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from maskcheck import (
+    RANDOM,
+    RUD,
+    SECRET,
+    EngineConfig,
+    ParseError,
+    binop,
+    const,
+    encode_psi,
+    eval_vec,
+    expr_of,
+    make_domain,
+    parse,
+    pm_check,
+    qms_compute,
+    var,
+)
+from maskcheck.domain import gf_table
+from maskcheck.program import MAX_NESTING
+
+
+def deep_chain(n: int) -> str:
+    """v0 = k ^ r0, then v_i = v_{i-1} @ r1 (odd i) or v_{i-1} ^ r0."""
+    lines = ["fn Deep(k: secret, r0: random, r1: random) {", "  v0 = k ^ r0;"]
+    for i in range(1, n + 1):
+        lines.append(f"  v{i} = v{i - 1} {'@ r1' if i % 2 else '^ r0'};")
+    lines += [f"  return v{n};", "}"]
+    return "\n".join(lines)
+
+
+def stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_pipeline_runs_in_bounded_stack():
+    headroom = 100
+    text = deep_chain(headroom + 50)
+    d = make_domain(2)
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + headroom)
+    try:
+        p = parse(text)
+        checked = pm_check(p, EngineConfig(d))
+        report = qms_compute(p, EngineConfig(d))
+        query = encode_psi(expr_of(p, p.internals[-1]), "1/2", d)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert len(report.verdicts) == headroom + 51
+    assert [v.dist for v in checked.verdicts] == \
+        [v.dist for v in report.verdicts]
+    assert all(v.method != "inconclusive" for v in report.verdicts)
+    assert query.m == 4 and query.text.endswith("(check-sat)\n")
+
+
+def test_type_only_on_deep_chain_completes():
+    p = parse(deep_chain(2000))
+    report = pm_check(p, EngineConfig(make_domain(4), engine="type-only"))
+    assert len(report.verdicts) == 2001
+    assert report.verdicts[0].dist is RUD
+
+
+def test_flat_statement_splits_without_recursion():
+    terms = 5001
+    rhs = " ^ ".join(["k"] + ["r0"] * (terms - 1))
+    p = parse(f"fn F(k: secret, r0: random) {{ x = {rhs}; return x; }}")
+    # names in pre-order: x, then _t1 for its left operand, and so on
+    # down the left spine; statements in post-order, innermost first
+    assert p.internals == tuple(f"_t{i}" for i in range(terms - 2, 0, -1)) \
+        + ("x",)
+    assert str(p.statements[0]) == f"_t{terms - 2} = k ^ r0;"
+    assert str(p.statements[-1]) == "x = _t1 ^ r0;"
+
+
+def test_nesting_past_the_cap_is_a_parse_error():
+    ok = "(" * MAX_NESTING + "k" + ")" * MAX_NESTING
+    assert parse(f"fn F(k: secret) {{ x = {ok}; return x; }}").internals \
+        == ("x",)
+    for deep in ("(" * 1000 + "k" + ")" * 1000, "~" * 1000 + "k",
+                 "(~" * MAX_NESTING + "k" + ")" * MAX_NESTING):
+        with pytest.raises(ParseError, match="nesting"):
+            parse(f"fn F(k: secret) {{ x = {deep}; return x; }}")
+
+
+def test_eval_vec_frees_intermediates():
+    # 40 chained operators over 2^20 cells: each a 4 MB array
+    d = make_domain(8)
+    side = 1 << 10
+    cell_bytes = side * side * 4
+    e = var("k", SECRET)
+    ops = ("^", "@", "+", "*")
+    for i in range(40):
+        right = var("r", RANDOM) if i % 2 else const(3 + i)
+        e = binop(ops[i % 4], e, right)
+    env = {"k": np.arange(side, dtype=np.uint32).reshape(side, 1) & 0xFF,
+           "r": np.arange(side, dtype=np.uint32).reshape(1, side) & 0xFF}
+    gf_table(d)     # built once per domain and kept
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = eval_vec(e, env, d)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert out.shape == (side, side)
+    assert peak - before < 8 * cell_bytes
+    assert after - before < out.nbytes + (1 << 16)

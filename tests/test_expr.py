@@ -12,6 +12,7 @@ from maskcheck import (
     make_domain,
     neg,
     occurrences,
+    postorder,
     pretty,
     replace,
     rvars,
@@ -89,6 +90,29 @@ class TestTreeMeasures:
         sizes = [size(t) for t in terms]
         assert sizes == sorted(sizes)
         assert set(terms) == {k, r0, binop("^", k, r0), e}
+
+
+class TestPostorder:
+    def test_distinct_nodes_children_first(self):
+        x = binop("^", k, r0)
+        right = binop("+", x, neg(x))
+        e = binop("@", x, right)
+        assert postorder(e) == [k, r0, x, neg(x), right, e]
+
+    def test_stop_lists_the_node_but_not_below(self):
+        x = binop("^", k, r0)
+        right = binop("+", x, neg(x))
+        e = binop("@", x, right)
+        assert postorder(e, lambda n: n is x) == [x, neg(x), right, e]
+
+    def test_measures_on_a_deep_chain(self):
+        e = k
+        for i in range(5000):     # pretty keeps every prefix: O(n^2) bytes
+            e = binop("@" if i % 2 else "^", e, r1 if i % 2 else r0)
+        assert size(e) == 10001
+        assert var_counts(e)[r0] == 2500
+        assert occurrences(e, k) == 1
+        assert pretty(e).startswith("(" * 5000 + "k ^ r0)")
 
 
 class TestPretty:

@@ -265,6 +265,11 @@ class TestRulePriorities:
         j = infer(binop("&", sdd, R0))
         assert j.dist is UKD
 
+    def test_tainted_product_needs_bare_secret(self):
+        # k | 1 is never 0, so (k | 1) @ r0 is uniform for every k
+        j = infer(binop("@", binop("|", K, const(1)), R0), D8)
+        assert j.dist is UKD
+
     def test_tainted_product_not_for_xor(self):
         # k ^ r0 is RUD by dominance, so force the shape differently:
         # an SDD left with a fresh random under ^ goes to "dominant"
@@ -287,11 +292,11 @@ class TestStore:
         assert j.rule_trace == ("recalled",)
 
     def test_store_feeds_larger_expressions(self):
-        inner = binop("&", K, P)
-        store = {inner: SDD}
-        j = infer(binop("&", inner, R0), store=store)
-        assert j.dist is SDD
-        assert j.rule_trace == ("recalled", "dominant", "tainted-product")
+        inner = binop("@", binop("|", K, const(1)), R0)    # SID, rules UKD
+        store = {inner: SID}
+        j = infer(binop("&", inner, R1), store=store)
+        assert j.dist is SID
+        assert j.rule_trace == ("recalled", "dominant", "independent-op")
 
     def test_store_consulted_only_at_dead_ends(self):
         e = xor(K, R0)

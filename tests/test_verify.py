@@ -50,7 +50,7 @@ def secmult():
 RECALL = parse("""
 fn Recall(k: secret, p: public, r0: random) {
   a = k & p;
-  b = a & r0;
+  b = ~a;
   return b;
 }
 """)
@@ -150,7 +150,16 @@ class TestPmCheck:
         assert (a.name, a.dist, a.method) == ("a", SDD, METHOD_COUNT_BF)
         assert a.witness == ({"k": 0, "p": 1}, {"k": 1, "p": 1})
         assert (b.name, b.dist, b.method) == ("b", SDD, METHOD_TYPE)
-        assert b.rule_trace == ("recalled", "dominant", "tainted-product")
+        assert b.rule_trace == ("recalled", "complement")
+
+    def test_product_with_nonzero_factor_is_counted(self):
+        # (k | 1) @ r0 is uniform; the rules leave it to counting
+        p = parse("fn T(k: secret, r0: random) "
+                  "{ t = k | 1; y = t @ r0; return y; }")
+        report = qms_compute(p, EngineConfig(D8))
+        y = report.verdicts[1]
+        assert (y.dist, y.method) == (SID, METHOD_COUNT_BF)
+        assert y.qms == Qms(256, 256)
 
     def test_store_not_built_in_type_only(self):
         report = pm_check(RECALL, EngineConfig(D2, engine="type-only"))
@@ -171,12 +180,6 @@ class TestPmCheck:
         assert by_name["x9"].dist is RUD
         assert report.perfectly_masked  # no SDD was proven
         assert report.totals["unknown"] == 2
-
-    def test_parallel_variables_match_serial(self, cube):
-        serial = pm_check(cube, EngineConfig(D8))
-        threaded = pm_check(cube, EngineConfig(D8, jobs=4,
-                                               parallel_variables=True))
-        assert report_to_json(serial) == report_to_json(threaded)
 
     def test_oracle_method(self):
         # (k + r0) - r0 stalls the rules; reduction first pins the
