@@ -8,20 +8,26 @@ each value appears. On top of that:
 * check_si      - identical across sigma pairs that agree on publics
 * qms_exact     - 1 - max_(sigma1,sigma2,c) (count1[c]-count2[c]) / 2^m,
                   the quantitative masking strength, as an exact rational
+* is_effective  - can one variable change the value at all
 
-The sigma space is enumerated in lexicographic order of variable values
-(variables sorted by name, first name most significant), sliced into
-fixed-size chunks that a thread pool may evaluate concurrently;
-results land in preallocated arrays indexed by slice, so the outcome,
-including witnesses, is byte-identical no matter how many workers run.
-Witnesses are the lexicographically smallest assignments that exhibit
-the reported gap.
+One enumerator, `_Space`, answers every question: the assignments to
+its row variables by the assignments to its column variables, other
+variables fixed, evaluated in blocks of at most _CHUNK_CELLS cells
+(whole rows while a row fits, column slices of a wider row). `_digits`
+turns an index into values, first name most significant, so index
+order is lexicographic order.
 
-Ineffective secret/public variables are excluded from the sigma
-enumeration (they cannot change the distribution) and reported pinned
-to 0 in witnesses. Work is bounded by an evaluation budget and an
-internal count-matrix cap; a cooperative deadline can abort between
-chunks.
+Counting makes every secret and public of e, sorted by name, index the
+sigma rows, and its randoms the columns. It does not ask which
+variables are effective: the verifier counts reduced expressions, from
+which eliminate_ineffective has removed them, and a direct caller that
+keeps one pays d.size times the rows for the same answer. Witnesses are
+the lexicographically smallest assignments that exhibit the reported
+gap, so such a variable shows as 0. Row spans may run on a thread pool;
+results land in arrays indexed by row, so the outcome, witnesses
+included, is byte-identical at any number of workers. Work is bounded
+by an evaluation budget and an internal count-matrix cap; a cooperative
+deadline can abort between blocks.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from .errors import BudgetExceeded, UncoveredVariable, VariableTimeout
 DEFAULT_BUDGET = 1 << 28
 _MATRIX_CELL_CAP = 1 << 26
 _CHUNK_CELLS = 1 << 20
+EFFECTIVE_BITS_BUDGET = 20
 
 
 @dataclass
@@ -88,96 +95,100 @@ def _check_deadline(deadline):
         raise VariableTimeout("per-variable deadline exceeded")
 
 
-class _Space:
-    """Enumeration layout: which variables index sigma, which are random."""
+def _digits(index, names, d: DomainConfig) -> dict:
+    """Values of `names` encoded in `index`, the first name most significant.
 
-    def __init__(self, e: ex.Expr, d: DomainConfig, budget: int):
+    `index` is an int (values are ints) or a uint64 array (values are
+    uint32 arrays of its shape).
+    """
+    vector = isinstance(index, np.ndarray)
+    values = {}
+    for i, name in enumerate(names):
+        value = (index >> d.bits * (len(names) - 1 - i)) & d.mask
+        values[name] = value.astype(np.uint32) if vector else value
+    return values
+
+
+class _Space:
+    """Assignments to `rows` x assignments to `cols`, `fixed` held constant."""
+
+    def __init__(self, d: DomainConfig, rows: list[str], cols: list[str],
+                 fixed: dict[str, int], budget: int):
         self.d = d
-        leaves = ex.var_counts(e)
-        nonrandom = sorted(v.name for v in leaves if v.kind != ex.RANDOM)
-        self.rand_names = sorted(v.name for v in leaves
-                                 if v.kind == ex.RANDOM)
-        from .reduction import is_effective  # lazy: reduction also uses us
-        self.sig_names = [n for n in nonrandom if is_effective(n, e, d)]
-        self.pinned = {n: 0 for n in nonrandom if n not in self.sig_names}
-        kind_of = {v.name: v.kind for v in leaves}
-        self.pub_positions = [i for i, n in enumerate(self.sig_names)
-                              if kind_of[n] == ex.PUBLIC]
-        self.S = d.size ** len(self.sig_names)
-        self.F = d.size ** len(self.rand_names)
+        self.rows = rows
+        self.cols = cols
+        self.fixed = {n: np.uint32(v & d.mask) for n, v in fixed.items()}
+        self.S = d.size ** len(rows)
+        self.F = d.size ** len(cols)
+        self.step = max(1, _CHUNK_CELLS // self.F)   # whole rows per block
         if self.S * self.F > budget:
             raise BudgetExceeded(
                 f"{self.S} sigma x {self.F} random assignments exceed "
                 f"the budget of {budget} evaluations")
 
-    def sigma_dict(self, s: int) -> dict[str, int]:
-        bits = self.d.bits
-        out = dict(self.pinned)
-        for i, name in enumerate(self.sig_names):
-            shift = bits * (len(self.sig_names) - 1 - i)
-            out[name] = (s >> shift) & self.d.mask
-        return dict(sorted(out.items()))
+    def blocks(self, e: ex.Expr, lo: int, hi: int, deadline=None):
+        """Values of e on rows [lo, hi) as (first row, first column, block).
 
-    def pub_keys(self) -> np.ndarray:
-        """Packed public values per sigma index, grouping key for SI."""
-        s = np.arange(self.S, dtype=np.uint64)
-        bits = self.d.bits
-        pk = np.zeros(self.S, dtype=np.uint64)
-        for rank, pos in enumerate(self.pub_positions):
-            shift = bits * (len(self.sig_names) - 1 - pos)
-            field = (s >> np.uint64(shift)) & np.uint64(self.d.mask)
-            out_shift = bits * (len(self.pub_positions) - 1 - rank)
-            pk |= field << np.uint64(out_shift)
-        return pk
+        A block is a (rows x columns) array of at most _CHUNK_CELLS
+        cells; a row wider than that comes in column slices.
+        """
+        width = min(self.F, _CHUNK_CELLS)
+        for r0 in range(lo, hi, self.step):
+            r1 = min(r0 + self.step, hi)
+            row_env = _digits(np.arange(r0, r1, dtype=np.uint64)[:, None],
+                              self.rows, self.d)
+            for f0 in range(0, self.F, width):
+                f1 = min(f0 + width, self.F)
+                _check_deadline(deadline)
+                # the column values die with this call, not at the next
+                # block, so they add nothing to what the consumer holds
+                values = ex.eval_vec(e, {
+                    **self.fixed, **row_env,
+                    **_digits(np.arange(f0, f1, dtype=np.uint64)[None, :],
+                              self.cols, self.d)}, self.d)
+                yield r0, f0, np.broadcast_to(values, (r1 - r0, f1 - f0))
 
 
-def _evaluate_block(e, d, space, s_lo, s_hi):
-    """Values of e for sigma indices [s_lo, s_hi) x all random assignments."""
-    bits = d.bits
-    mask = np.uint64(d.mask)
-    env: dict[str, np.ndarray] = {}
-    s = np.arange(s_lo, s_hi, dtype=np.uint64)
-    for i, name in enumerate(space.sig_names):
-        shift = np.uint64(bits * (len(space.sig_names) - 1 - i))
-        env[name] = ((s >> shift) & mask).astype(np.uint32)[:, None]
-    f = np.arange(space.F, dtype=np.uint64)
-    for j, name in enumerate(space.rand_names):
-        shift = np.uint64(bits * (len(space.rand_names) - 1 - j))
-        env[name] = ((f >> shift) & mask).astype(np.uint32)[None, :]
-    for name in space.pinned:
-        env[name] = np.uint32(0)
-    out = ex.eval_vec(e, env, d)
-    return np.broadcast_to(out, (s_hi - s_lo, space.F))
+def _sigma_space(e: ex.Expr, d: DomainConfig, budget: int):
+    """Every secret and public of e indexes sigma, every random a column.
+
+    Returns the space and the sigma-index bits that hold the publics.
+    """
+    leaves = ex.var_counts(e)
+    rows = sorted(v.name for v in leaves if v.kind != ex.RANDOM)
+    cols = sorted(v.name for v in leaves if v.kind == ex.RANDOM)
+    publics = {v.name for v in leaves if v.kind == ex.PUBLIC}
+    public_mask = sum(d.mask << d.bits * (len(rows) - 1 - i)
+                      for i, name in enumerate(rows) if name in publics)
+    return _Space(d, rows, cols, {}, budget), public_mask
 
 
 def _counts_matrix(e, d, space, jobs, deadline):
     """(S x 2^bits) count matrix, or per-sigma values when F == 1."""
     V = d.size
     if space.F == 1:
-        values = np.empty(space.S, dtype=np.uint32)
-        target = values
+        target = np.empty(space.S, dtype=np.uint32)
     else:
         if space.S * V > _MATRIX_CELL_CAP:
             raise BudgetExceeded(
                 f"count matrix of {space.S} x {V} cells exceeds the "
                 f"internal cap of {_MATRIX_CELL_CAP}")
-        target = np.empty((space.S, V), dtype=np.uint32)
+        target = np.zeros((space.S, V), dtype=np.uint32)
 
-    chunk = max(1, _CHUNK_CELLS // space.F)
-    spans = [(lo, min(lo + chunk, space.S))
-             for lo in range(0, space.S, chunk)]
+    spans = [(lo, min(lo + space.step, space.S))
+             for lo in range(0, space.S, space.step)]
 
     def work(span):
-        lo, hi = span
-        _check_deadline(deadline)
-        block = _evaluate_block(e, d, space, lo, hi)
-        if space.F == 1:
-            target[lo:hi] = block[:, 0]
-        else:
-            rows = np.arange(hi - lo, dtype=np.int64)[:, None]
-            flat = (rows * V + block.astype(np.int64)).ravel()
-            target[lo:hi] = np.bincount(
-                flat, minlength=(hi - lo) * V).reshape(hi - lo, V)
+        for r0, _, block in space.blocks(e, *span, deadline):
+            r1 = r0 + len(block)
+            if space.F == 1:
+                target[r0:r1] = block[:, 0]
+            else:
+                rows = np.arange(r1 - r0, dtype=np.int64)[:, None]
+                flat = (rows * V + block.astype(np.int64)).ravel()
+                target[r0:r1] += np.bincount(
+                    flat, minlength=(r1 - r0) * V).reshape(
+                        r1 - r0, V).astype(np.uint32)
 
     if jobs > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -186,9 +197,6 @@ def _counts_matrix(e, d, space, jobs, deadline):
         for span in spans:
             work(span)
     return target
-
-
-_DIST_CACHE: dict = {}
 
 
 def distribution(e: ex.Expr, sigma: dict[str, int], d: DomainConfig,
@@ -200,47 +208,53 @@ def distribution(e: ex.Expr, sigma: dict[str, int], d: DomainConfig,
     if missing:
         raise UncoveredVariable(
             f"sigma misses {sorted(missing)} for {ex.pretty(e)}")
-    key = (e, tuple(sorted((n, sigma[n] & d.mask) for n in nonrandom)), d)
-    cached = _DIST_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     rand_names = sorted(v.name for v in leaves if v.kind == ex.RANDOM)
-    F = d.size ** len(rand_names)
-    if F > budget:
-        raise BudgetExceeded(f"{F} random assignments exceed budget {budget}")
+    space = _Space(d, [], rand_names, {n: sigma[n] for n in nonrandom},
+                   budget)
     counts = np.zeros(d.size, dtype=np.int64)
-    bits = d.bits
-    for lo in range(0, F, _CHUNK_CELLS):
-        hi = min(lo + _CHUNK_CELLS, F)
-        f = np.arange(lo, hi, dtype=np.uint64)
-        env: dict[str, np.ndarray] = {
-            name: np.uint32(sigma[name] & d.mask) for name in nonrandom}
-        for j, name in enumerate(rand_names):
-            shift = np.uint64(bits * (len(rand_names) - 1 - j))
-            env[name] = ((f >> shift) & np.uint64(d.mask)).astype(np.uint32)
-        out = np.broadcast_to(ex.eval_vec(e, env, d), (hi - lo,))
-        counts += np.bincount(out, minlength=d.size)
-    result = CountVector(counts, F)
-    _DIST_CACHE[key] = result
-    return result
+    for _, _, block in space.blocks(e, 0, 1):
+        counts += np.bincount(block.ravel(), minlength=d.size)
+    return CountVector(counts, space.F)
+
+
+def is_effective(x: str, e: ex.Expr, d: DomainConfig) -> bool:
+    """Can changing x change the value of e, for some other fixing?
+
+    Exhaustive over all assignments while the variables of e fit in
+    EFFECTIVE_BITS_BUDGET bits; beyond that the answer is a
+    conservative True.
+    """
+    names = sorted(ex.variables(e))
+    if x not in names:
+        return False
+    if d.bits * len(names) > EFFECTIVE_BITS_BUDGET:
+        return True
+    others = [n for n in names if n != x]
+    space = _Space(d, others, [x], {}, 1 << EFFECTIVE_BITS_BUDGET)
+    first = None
+    for _, f0, block in space.blocks(e, 0, space.S):
+        if f0 == 0:
+            first = block[:, :1]
+        if (block != first).any():
+            return True
+    return False
 
 
 def check_uniform(e: ex.Expr, d: DomainConfig, budget: int = DEFAULT_BUDGET,
                   jobs: int = 1, deadline: float | None = None) -> bool:
     """Is e uniformly distributed for every fixing of secrets and publics?"""
-    space = _Space(e, d, budget)
+    space, _ = _sigma_space(e, d, budget)
     if space.F % d.size != 0:
         return False  # counts cannot be flat (includes F == 1)
     matrix = _counts_matrix(e, d, space, jobs, deadline)
     return bool((matrix == space.F // d.size).all())
 
 
-def _group_spans(space):
-    """Sigma index groups sharing a public-key, in lexicographic order."""
-    pk = space.pub_keys()
-    if not space.pub_positions:
+def _group_spans(space, public_mask):
+    """Sigma index groups sharing their publics, in lexicographic order."""
+    if not public_mask:
         return [np.arange(space.S)]
+    pk = np.arange(space.S, dtype=np.uint64) & np.uint64(public_mask)
     _, first = np.unique(pk, return_index=True)
     return [np.nonzero(pk == pk[i])[0] for i in np.sort(first)]
 
@@ -253,9 +267,9 @@ def check_si(e: ex.Expr, d: DomainConfig, budget: int = DEFAULT_BUDGET,
     Returns (True, None) or (False, (sigma1, sigma2)) with the
     lexicographically smallest differing pair.
     """
-    space = _Space(e, d, budget)
+    space, public_mask = _sigma_space(e, d, budget)
     matrix = _counts_matrix(e, d, space, jobs, deadline)
-    for members in _group_spans(space):
+    for members in _group_spans(space, public_mask):
         block = matrix[members]
         if space.F == 1:
             differs = np.nonzero(block != block[0])[0]
@@ -264,17 +278,18 @@ def check_si(e: ex.Expr, d: DomainConfig, budget: int = DEFAULT_BUDGET,
         if differs.size:
             s1 = int(members[0])
             s2 = int(members[differs[0]])
-            return False, (space.sigma_dict(s1), space.sigma_dict(s2))
+            return False, (_digits(s1, space.rows, d),
+                           _digits(s2, space.rows, d))
     return True, None
 
 
 def qms_exact(e: ex.Expr, d: DomainConfig, budget: int = DEFAULT_BUDGET,
               jobs: int = 1, deadline: float | None = None) -> Qms:
     """Exact quantitative masking strength of e."""
-    space = _Space(e, d, budget)
+    space, public_mask = _sigma_space(e, d, budget)
     matrix = _counts_matrix(e, d, space, jobs, deadline)
     den = space.F
-    groups = _group_spans(space)
+    groups = _group_spans(space, public_mask)
 
     if space.F == 1:
         gap = 0
@@ -291,8 +306,8 @@ def qms_exact(e: ex.Expr, d: DomainConfig, budget: int = DEFAULT_BUDGET,
             if differs.size:
                 s1 = int(members[0])
                 s2 = int(members[differs[0]])
-                return Qms(0, 1, (space.sigma_dict(s1),
-                                  space.sigma_dict(s2), int(vals[0])))
+                return Qms(0, 1, (_digits(s1, space.rows, d),
+                                  _digits(s2, space.rows, d), int(vals[0])))
 
     signed = matrix.astype(np.int64)
     group_of = np.empty(space.S, dtype=np.int64)
@@ -312,4 +327,4 @@ def qms_exact(e: ex.Expr, d: DomainConfig, budget: int = DEFAULT_BUDGET,
     s2 = int(members[hit_rows[0]])
     c = int(np.nonzero(diffs[hit_rows[0]] == gap)[0][0])
     return Qms(den - gap, den,
-               (space.sigma_dict(s1), space.sigma_dict(s2), c))
+               (_digits(s1, space.rows, d), _digits(s2, space.rows, d), c))

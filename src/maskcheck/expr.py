@@ -42,10 +42,10 @@ COMMUTATIVE = ("^", "&", "|", "@", "+", "*")
 
 
 class Expr:
-    __slots__ = ("_hash",)
+    """Base of the node classes. Hashing and equality are by identity,
+    which interning makes the same as structural equality."""
 
-    def __hash__(self):
-        return self._hash
+    __slots__ = ()
 
     def __repr__(self):
         return f"<{type(self).__name__} {pretty(self)}>"
@@ -56,7 +56,6 @@ class Const(Expr):
 
     def __init__(self, value):
         self.value = value
-        self._hash = hash(("c", value))
 
 
 class Var(Expr):
@@ -65,7 +64,6 @@ class Var(Expr):
     def __init__(self, name, kind):
         self.name = name
         self.kind = kind
-        self._hash = hash(("v", name, kind))
 
 
 class Unary(Expr):
@@ -76,7 +74,6 @@ class Unary(Expr):
     def __init__(self, operand):
         self.op = "~"
         self.operand = operand
-        self._hash = hash(("u", operand))
 
 
 class Binary(Expr):
@@ -86,7 +83,6 @@ class Binary(Expr):
         self.op = op
         self.left = left
         self.right = right
-        self._hash = hash(("b", op, left, right))
 
 
 _INTERN: dict[tuple, Expr] = {}

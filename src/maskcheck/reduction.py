@@ -3,7 +3,8 @@
 Four passes run in a fixed order until nothing changes:
 
 1. eliminate_ineffective - variables that never influence the value
-   (decided by exhaustive enumeration under a bit budget) become 0.
+   (decided by `counting.is_effective`, exhaustive enumeration under a
+   bit budget, re-exported here) become 0.
 2. apply_algebraic_laws  - local identities: e^e -> 0, e-e -> 0,
    annihilators for *, @, &, units for ^, *, @, double complement.
 3. eliminate_dominated   - a subexpression dominated by a random r that
@@ -28,36 +29,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as ex
+from .counting import _digits, distribution, is_effective
 from .domain import DomainConfig
 from .errors import OracleUnsound
 from .infer import dominant_vars
 from .program import _Parser, _tokenize
-
-EFFECTIVE_BITS_BUDGET = 20
-
-
-def is_effective(x: str, e: ex.Expr, d: DomainConfig) -> bool:
-    """Can changing x change the value of e, for some other fixing?
-
-    Exhaustive over all assignments while the variables of e fit in
-    EFFECTIVE_BITS_BUDGET bits; beyond that the answer is a
-    conservative True.
-    """
-    names = sorted(ex.variables(e))
-    if x not in names:
-        return False
-    if d.bits * len(names) > EFFECTIVE_BITS_BUDGET:
-        return True
-    env = {}
-    axis = names.index(x)
-    for i, name in enumerate(names):
-        shape = [1] * len(names)
-        shape[i] = d.size
-        env[name] = np.arange(d.size, dtype=np.uint32).reshape(shape)
-    values = np.broadcast_to(
-        ex.eval_vec(e, env, d), (d.size,) * len(names))
-    values = np.moveaxis(values, axis, -1)
-    return bool((values != values[..., :1]).any())
 
 
 def eliminate_ineffective(e: ex.Expr, d: DomainConfig) -> ex.Expr:
@@ -298,22 +274,14 @@ def apply_oracle(e: ex.Expr, d: DomainConfig,
 
 
 def _spot_check(e: ex.Expr, result: ex.Expr, d: DomainConfig):
-    from .counting import distribution  # local import avoids a cycle
-
     names = sorted((ex.variables(e) | ex.variables(result)) - ex.rvars(e)
                    - ex.rvars(result))
     if d.bits * (len(names) + len(ex.rvars(e) | ex.rvars(result))) > 16:
         return
     for idx in range(d.size ** len(names)):
-        sigma = {}
-        rest = idx
-        for name in names:
-            sigma[name] = rest % d.size
-            rest //= d.size
-        left = distribution(e, {k: v for k, v in sigma.items()
-                                if k in ex.variables(e)}, d)
-        right = distribution(result, {k: v for k, v in sigma.items()
-                                      if k in ex.variables(result)}, d)
+        sigma = _digits(idx, names, d)
+        left = distribution(e, sigma, d)
+        right = distribution(result, sigma, d)
         if not np.array_equal(left.counts * right.total,
                               right.counts * left.total):
             raise OracleUnsound(

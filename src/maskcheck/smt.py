@@ -218,6 +218,14 @@ def encode_psi(e: ex.Expr, q, d: DomainConfig,
     return SmtQuery("\n".join(lines) + "\n", q, m, delta)
 
 
+def emit_query(out_dir: str | Path, var_name: str, query: SmtQuery) -> None:
+    """Write the script to out_dir as <var_name>_q<num>_<den>.smt2."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    name = f"{var_name}_q{query.q.numerator}_{query.q.denominator}.smt2"
+    (out / name).write_text(query.text)
+
+
 def check_sat(query: SmtQuery, solver_cmd: str,
               timeout: float | None = None,
               script_path: str | Path | None = None) -> SolverVerdict:
@@ -282,10 +290,7 @@ def qms_smt(e: ex.Expr, d: DomainConfig, solver_cmd: str,
         q = Fraction(mid, copies)
         query = encode_psi(e, q, d, profile)
         if emit_dir is not None:
-            out = Path(emit_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            name = f"{var_name}_q{q.numerator}_{q.denominator}.smt2"
-            (out / name).write_text(query.text)
+            emit_query(emit_dir, var_name, query)
         timeout = None
         if deadline is not None:
             timeout = deadline - time.monotonic()

@@ -34,13 +34,15 @@ from .domain import DomainConfig
 from .errors import (
     BudgetExceeded,
     InconclusiveSolver,
+    MaskcheckError,
     SolverSpawnFailure,
+    TooManyCopies,
     VariableTimeout,
 )
 from .infer import SDD, SID, UKD, DistType, infer
 from .program import Program, expr_of
 from .reduction import apply_oracle, simplify
-from .smt import SAT, UNSAT, check_sat, encode_psi, qms_smt
+from .smt import SAT, UNSAT, check_sat, emit_query, encode_psi, qms_smt
 
 ENGINES = ("type-only", "bruteforce", "smt")
 
@@ -120,33 +122,42 @@ def _deadline(cfg: EngineConfig) -> float | None:
     return time.monotonic() + cfg.var_timeout
 
 
-def _emit_query(cfg: EngineConfig, var_name: str, query):
-    out = Path(cfg.emit_smt_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    name = f"{var_name}_q{query.q.numerator}_{query.q.denominator}.smt2"
-    (out / name).write_text(query.text)
+def _add_note(v: VariableVerdict, text: str) -> None:
+    """Append text to the verdict's note unless the note already says it."""
+    if v.note is None:
+        v.note = text
+    elif text not in v.note.split("; "):
+        v.note = f"{v.note}; {text}"
 
 
 def _count_decide(x: str, e_hat: ex.Expr, cfg: EngineConfig,
-                  deadline: float | None):
-    """SID/SDD by model counting. Returns (dist, method, witness)."""
+                  deadline: float | None, notes: list[str]):
+    """SID/SDD by model counting. Returns (dist, method, witness).
+
+    Why the solver or the emitted script was skipped goes to notes.
+    """
     if cfg.engine == "smt":
-        query = encode_psi(e_hat, 1, cfg.domain, cfg.smt_profile)
-        if cfg.emit_smt_dir is not None:
-            _emit_query(cfg, x, query)
-        timeout = None if deadline is None else deadline - time.monotonic()
-        verdict = check_sat(query, cfg.solver_cmd, timeout)
-        if verdict.kind == SAT:
-            return SDD, METHOD_COUNT_SMT, None
-        if verdict.kind == UNSAT:
-            return SID, METHOD_COUNT_SMT, None
-        # fall through to enumeration on an unknown answer
+        try:
+            query = encode_psi(e_hat, 1, cfg.domain, cfg.smt_profile)
+        except TooManyCopies as err:
+            notes.append(f"solver fallback: {err}")
+        else:
+            if cfg.emit_smt_dir is not None:
+                emit_query(cfg.emit_smt_dir, x, query)
+            timeout = None if deadline is None \
+                else deadline - time.monotonic()
+            verdict = check_sat(query, cfg.solver_cmd, timeout)
+            if verdict.kind == SAT:
+                return SDD, METHOD_COUNT_SMT, None
+            if verdict.kind == UNSAT:
+                return SID, METHOD_COUNT_SMT, None
+            # fall through to enumeration on an unknown answer
     elif cfg.emit_smt_dir is not None:
         try:
-            _emit_query(cfg, x, encode_psi(e_hat, 1, cfg.domain,
-                                           cfg.smt_profile))
-        except Exception:
-            pass  # emission is best-effort outside the smt engine
+            emit_query(cfg.emit_smt_dir, x, encode_psi(
+                e_hat, 1, cfg.domain, cfg.smt_profile))
+        except (MaskcheckError, OSError) as err:
+            notes.append(f"smt emission skipped: {err}")
     si, witness = check_si(e_hat, cfg.domain, cfg.budget, cfg.jobs, deadline)
     return (SID if si else SDD), METHOD_COUNT_BF, witness
 
@@ -156,6 +167,7 @@ def _classify(p: Program, x: str, cfg: EngineConfig,
               hats: dict[str, ex.Expr]) -> VariableVerdict:
     started = time.monotonic()
     deadline = _deadline(cfg)
+    notes: list[str] = []
     e = expr_of(p, x)
     try:
         j = infer(e, cfg.domain, store)
@@ -187,15 +199,17 @@ def _classify(p: Program, x: str, cfg: EngineConfig,
                                        j_oracle.rule_trace,
                                        elapsed=time.monotonic() - started)
 
-        dist, method, witness = _count_decide(x, e_hat, cfg, deadline)
+        dist, method, witness = _count_decide(x, e_hat, cfg, deadline, notes)
         store[e] = dist
         store[e_hat] = dist
         return VariableVerdict(x, dist, method, ("counted",), witness=witness,
+                               note="; ".join(notes) or None,
                                elapsed=time.monotonic() - started)
     except (BudgetExceeded, VariableTimeout, InconclusiveSolver,
             SolverSpawnFailure) as err:
+        notes.append(f"{type(err).__name__}: {err}")
         return VariableVerdict(x, UKD, METHOD_INCONCLUSIVE,
-                               note=f"{type(err).__name__}: {err}",
+                               note="; ".join(notes),
                                elapsed=time.monotonic() - started)
 
 
@@ -231,12 +245,13 @@ def _strength(p: Program, v: VariableVerdict, cfg: EngineConfig,
                             cfg.smt_profile, deadline,
                             cfg.emit_smt_dir, v.name)
             return
-        except (InconclusiveSolver, SolverSpawnFailure) as err:
-            v.note = f"solver fallback: {err}"
+        except (InconclusiveSolver, SolverSpawnFailure,
+                TooManyCopies) as err:
+            _add_note(v, f"solver fallback: {err}")
     try:
         qms = qms_exact(e_hat, cfg.domain, cfg.budget, cfg.jobs, deadline)
     except (BudgetExceeded, VariableTimeout) as err:
-        v.note = f"{type(err).__name__}: {err}"
+        _add_note(v, f"{type(err).__name__}: {err}")
         return
     v.qms = qms
     if qms.witness is not None:

@@ -24,6 +24,14 @@ fn Twist(k: secret, r0: random) {
 }
 """
 
+WIDE = """
+fn Wide(k: secret, r0: random, r1: random, r2: random) {
+  a = k & r0;
+  y = a ^ (r1 & r2);
+  return y;
+}
+"""
+
 
 @pytest.fixture
 def twist_file(tmp_path):
@@ -226,6 +234,19 @@ class TestEngineFlags:
 
     def test_missing_meta_file(self, capsys):
         assert run(["check", CUBE, "--meta-theorems", "/no/such.meta"]) == 2
+
+    def test_smt_engine_survives_a_wide_variable(self, tmp_path, capsys,
+                                                 solver_cmd):
+        path = tmp_path / "wide.mv"
+        path.write_text(WIDE)
+        code = run(["check", str(path), "--engine", "smt", "--solver",
+                    solver_cmd, "--format", "json"])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().out)
+        by_name = {v["name"]: v for v in doc["variables"]}
+        assert by_name["a"]["type"] == "SDD"
+        assert by_name["y"]["method"] == "inconclusive"
+        assert by_name["y"]["note"].startswith("solver fallback: ")
 
     def test_zero_timeout_disables_deadline(self, capsys):
         assert run(["check", SECMULT, "--timeout", "0"]) == 0

@@ -1,0 +1,170 @@
+"""Property tests: the enumerator against naive scalar references.
+
+Random expressions at widths 1-3 over a leaf pool that includes
+publics and variables that cannot change the value. `distribution`,
+`check_si`, `qms_exact` and `is_effective` are compared with references
+built from `eval_expr` and `itertools.product`, whose loops run in
+lexicographic order, so the first gap they meet is the witness the
+enumerator must report. Every property runs twice: with the default
+chunk, and with `counting._CHUNK_CELLS` at 16 cells, so that rows wider
+than a chunk come in column slices.
+"""
+
+import itertools
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from maskcheck import (
+    Qms,
+    check_si,
+    counting,
+    distribution,
+    eval_expr,
+    is_effective,
+    make_domain,
+)
+from maskcheck import expr as ex
+
+FIXED = (ex.var("k", ex.SECRET), ex.var("k2", ex.SECRET),
+         ex.var("p", ex.PUBLIC))
+RANDOMS = tuple(ex.var(f"r{i}", ex.RANDOM) for i in range(5))
+OPS = ("^", "&", "|", "+", "-", "*", "@")
+CELL_BITS = 8       # bits * |variables| <= 8: at most 256 assignments
+
+K, K2, P = FIXED
+R0, R1, R2, R3, R4 = RANDOMS
+
+CHUNKS = pytest.mark.parametrize("chunk", [counting._CHUNK_CELLS, 16])
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None,
+                    database=None)
+
+
+def property_test(fn):
+    """Run fn on drawn cases, plus two leaky ones whose rows are wider
+    than 16 cells, which the draws seldom produce."""
+    leaky2 = ex.binop("&", K2, ex.binop("^", R0, ex.binop("&", R1, R2)))
+    leaky1 = ex.binop("|", ex.binop("^", ex.binop("&", K, R0), ex.binop(
+        "+", ex.binop("&", R1, R2), ex.binop("@", R3, R4))), P)
+    fn = example(case=(leaky2, make_domain(2)))(fn)
+    fn = example(case=(leaky1, make_domain(1)))(fn)
+    return CHUNKS(PROPERTY(given(case=cases())(fn)))
+
+
+@st.composite
+def cases(draw):
+    bits = draw(st.integers(1, 3))
+    room = CELL_BITS // bits
+    leaves = [v for v in FIXED + RANDOMS if draw(st.booleans())][:room]
+    leaf = st.integers(0, (1 << bits) - 1).map(ex.const)
+    if leaves:
+        leaf = st.one_of(st.sampled_from(leaves), leaf)
+
+    def extend(inner):
+        return st.one_of(
+            inner.map(ex.neg),
+            st.builds(ex.binop, st.sampled_from(OPS), inner, inner),
+            st.builds(lambda op, e, n: ex.binop(op, e, ex.const(n)),
+                      st.sampled_from(ex.SHIFT_OPS), inner,
+                      st.integers(0, bits - 1)),
+            # v & 0 keeps v in the expression but not in its value
+            st.builds(lambda e, v: ex.binop("^", e,
+                                            ex.binop("&", v, ex.ZERO)),
+                      inner, leaf))
+
+    e = draw(st.recursive(leaf, extend, max_leaves=8))
+    # every pool variable occurs, so the space is as wide as the pool
+    for v in leaves:
+        e = ex.binop(draw(st.sampled_from(OPS)), e, v)
+    return e, make_domain(bits)
+
+
+# --- naive references ---------------------------------------------------------
+
+def ref_distribution(e, sigma, d):
+    rands = sorted(ex.rvars(e))
+    counts = [0] * d.size
+    for values in itertools.product(range(d.size), repeat=len(rands)):
+        counts[eval_expr(e, {**sigma, **dict(zip(rands, values))}, d)] += 1
+    return counts
+
+
+def sigmas(e, d):
+    names = sorted(ex.variables(e) - ex.rvars(e))
+    return [dict(zip(names, values))
+            for values in itertools.product(range(d.size), repeat=len(names))]
+
+
+def ref_pairs(e, d):
+    """(sigma1, counts1, sigma2, counts2) over sigma pairs that agree
+    on the publics, in lexicographic order."""
+    publics = {v.name for v in ex.var_counts(e) if v.kind == ex.PUBLIC}
+    dists = [(s, ref_distribution(e, s, d)) for s in sigmas(e, d)]
+    for s1, c1 in dists:
+        for s2, c2 in dists:
+            if all(s1[p] == s2[p] for p in publics):
+                yield s1, c1, s2, c2
+
+
+def ref_check_si(e, d):
+    for s1, c1, s2, c2 in ref_pairs(e, d):
+        if c1 != c2:
+            return False, (s1, s2)
+    return True, None
+
+
+def ref_qms(e, d):
+    den = d.size ** len(ex.rvars(e))
+    gap, witness = 0, None
+    for s1, c1, s2, c2 in ref_pairs(e, d):
+        for c in range(d.size):
+            if c1[c] - c2[c] > gap:
+                gap, witness = c1[c] - c2[c], (s1, s2, c)
+    return Qms(den - gap, den, witness)
+
+
+def ref_is_effective(x, e, d):
+    names = sorted(ex.variables(e))
+    others = [n for n in names if n != x]
+    for values in itertools.product(range(d.size), repeat=len(others)):
+        env = dict(zip(others, values))
+        if len({eval_expr(e, {**env, x: v}, d) for v in range(d.size)}) > 1:
+            return True
+    return False
+
+
+# --- properties -----------------------------------------------------------------
+
+@property_test
+def test_distribution(chunk, case):
+    e, d = case
+    with mock.patch.object(counting, "_CHUNK_CELLS", chunk):
+        for sigma in sigmas(e, d):
+            got = distribution(e, {**sigma, "unused": 1}, d)
+            assert got.total == d.size ** len(ex.rvars(e))
+            assert got.counts.tolist() == ref_distribution(e, sigma, d)
+
+
+@property_test
+def test_check_si(chunk, case):
+    e, d = case
+    with mock.patch.object(counting, "_CHUNK_CELLS", chunk):
+        assert check_si(e, d) == ref_check_si(e, d)
+
+
+@property_test
+def test_qms_exact(chunk, case):
+    e, d = case
+    with mock.patch.object(counting, "_CHUNK_CELLS", chunk):
+        assert counting.qms_exact(e, d) == ref_qms(e, d)
+
+
+@property_test
+def test_is_effective(chunk, case):
+    e, d = case
+    with mock.patch.object(counting, "_CHUNK_CELLS", chunk):
+        for x in sorted(ex.variables(e)):
+            assert is_effective(x, e, d) == ref_is_effective(x, e, d), x
+        assert not is_effective("absent", e, d)

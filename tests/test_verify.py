@@ -34,6 +34,7 @@ from maskcheck import (
 from maskcheck import expr as ex
 
 D2 = make_domain(2)
+D4 = make_domain(4)
 D8 = make_domain(8)
 
 
@@ -247,6 +248,63 @@ class TestSmtEngine:
         by_name = {v.name: v for v in report.verdicts}
         assert by_name["x2"].method == METHOD_COUNT_BF
         assert by_name["x2"].dist is SDD
+
+
+# y needs 2^24 solver copies and 2^32 evaluations at 8 bits
+WIDE = parse("""
+fn Wide(k: secret, r0: random, r1: random, r2: random) {
+  a = k & r0;
+  y = a ^ (r1 & r2);
+  return y;
+}
+""")
+
+# y needs 2^20 solver copies at 4 bits, past MAX_COPY_BITS, but only
+# 2^24 evaluations
+FIVE = parse("""
+fn Five(k: secret, r0: random, r1: random, r2: random, r3: random,
+        r4: random) {
+  y = (k & r0) ^ ((r1 & r2) ^ (r3 & r4));
+  return y;
+}
+""")
+
+
+class TestSolverFallbacks:
+    def test_too_many_copies_falls_back_to_enumeration(self, solver_cmd):
+        cfg = EngineConfig(D8, engine="smt", solver_cmd=solver_cmd)
+        by_name = {v.name: v for v in pm_check(WIDE, cfg).verdicts}
+        assert by_name["a"].dist is SDD
+        y = by_name["y"]
+        assert (y.dist, y.method) == (UKD, METHOD_INCONCLUSIVE)
+        assert y.note.startswith(
+            "solver fallback: 3 randoms x 8 bits would need 2^24 copies; "
+            "BudgetExceeded: 256 sigma x 16777216 random assignments")
+
+    def test_strength_falls_back_with_one_note(self, solver_cmd):
+        cfg = EngineConfig(D4, engine="smt", solver_cmd=solver_cmd)
+        y = qms_compute(FIVE, cfg).verdicts[-1]
+        assert (y.name, y.dist, y.method) == ("y", SDD, METHOD_COUNT_BF)
+        assert y.note == \
+            "solver fallback: 5 randoms x 4 bits would need 2^20 copies"
+        brute = qms_compute(FIVE, EngineConfig(D4)).verdicts[-1]
+        assert (y.qms, y.witness) == (brute.qms, brute.witness)
+
+    def test_emission_past_the_copy_limit_is_noted(self, tmp_path):
+        cfg = EngineConfig(D4, emit_smt_dir=tmp_path / "queries")
+        y = pm_check(FIVE, cfg).verdicts[-1]
+        assert (y.name, y.dist, y.method) == ("y", SDD, METHOD_COUNT_BF)
+        assert y.note == \
+            "smt emission skipped: 5 randoms x 4 bits would need 2^20 copies"
+
+    def test_unwritable_emission_directory_is_noted(self, cube, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = EngineConfig(D2, emit_smt_dir=blocker / "queries")
+        by_name = {v.name: v for v in pm_check(cube, cfg).verdicts}
+        assert by_name["x2"].dist is SDD
+        assert by_name["x2"].note.startswith("smt emission skipped: ")
+        assert by_name["x9"].note is None
 
 
 class TestQmsCompute:
