@@ -93,6 +93,7 @@ from .reduction import (
     apply_oracle,
     eliminate_dominated,
     eliminate_ineffective,
+    effective_variables,
     is_effective,
     load_meta_patterns,
     parse_pattern,

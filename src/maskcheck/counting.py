@@ -8,7 +8,8 @@ each value appears. On top of that:
 * check_si      - identical across sigma pairs that agree on publics
 * qms_exact     - 1 - max_(sigma1,sigma2,c) (count1[c]-count2[c]) / 2^m,
                   the quantitative masking strength, as an exact rational
-* is_effective  - can one variable change the value at all
+* is_effective  - can one variable change the value at all;
+                  effective_variables answers for every variable at once
 
 One enumerator, `_Space`, answers every question: the assignments to
 its row variables by the assignments to its column variables, other
@@ -217,27 +218,26 @@ def distribution(e: ex.Expr, sigma: dict[str, int], d: DomainConfig,
     return CountVector(counts, space.F)
 
 
-def is_effective(x: str, e: ex.Expr, d: DomainConfig) -> bool:
-    """Can changing x change the value of e, for some other fixing?
+def effective_variables(e: ex.Expr, d: DomainConfig) -> set[str]:
+    """Names of the variables that can change the value of e.
 
-    Exhaustive over all assignments while the variables of e fit in
-    EFFECTIVE_BITS_BUDGET bits; beyond that the answer is a
-    conservative True.
+    One evaluation of e on every assignment, each variable a row, while
+    they fit in EFFECTIVE_BITS_BUDGET bits; beyond that, conservatively,
+    every name.
     """
     names = sorted(ex.variables(e))
-    if x not in names:
-        return False
     if d.bits * len(names) > EFFECTIVE_BITS_BUDGET:
-        return True
-    others = [n for n in names if n != x]
-    space = _Space(d, others, [x], {}, 1 << EFFECTIVE_BITS_BUDGET)
-    first = None
-    for _, f0, block in space.blocks(e, 0, space.S):
-        if f0 == 0:
-            first = block[:, :1]
-        if (block != first).any():
-            return True
-    return False
+        return set(names)
+    space = _Space(d, names, [], {}, 1 << EFFECTIVE_BITS_BUDGET)
+    grid = _counts_matrix(e, d, space, 1, None).reshape(
+        (d.size,) * len(names))
+    return {x for i, x in enumerate(names)
+            if (grid != grid.take([0], axis=i)).any()}
+
+
+def is_effective(x: str, e: ex.Expr, d: DomainConfig) -> bool:
+    """Can changing x change the value of e, for some other fixing?"""
+    return x in effective_variables(e, d)
 
 
 def check_uniform(e: ex.Expr, d: DomainConfig, budget: int = DEFAULT_BUDGET,
@@ -292,14 +292,6 @@ def qms_exact(e: ex.Expr, d: DomainConfig, budget: int = DEFAULT_BUDGET,
     groups = _group_spans(space, public_mask)
 
     if space.F == 1:
-        gap = 0
-        for members in groups:
-            vals = matrix[members]
-            if (vals != vals[0]).any():
-                gap = 1
-                break
-        if gap == 0:
-            return Qms(1, 1)
         for members in groups:
             vals = matrix[members]
             differs = np.nonzero(vals != vals[0])[0]
@@ -308,6 +300,7 @@ def qms_exact(e: ex.Expr, d: DomainConfig, budget: int = DEFAULT_BUDGET,
                 s2 = int(members[differs[0]])
                 return Qms(0, 1, (_digits(s1, space.rows, d),
                                   _digits(s2, space.rows, d), int(vals[0])))
+        return Qms(1, 1)
 
     signed = matrix.astype(np.int64)
     group_of = np.empty(space.S, dtype=np.int64)

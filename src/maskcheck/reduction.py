@@ -3,14 +3,17 @@
 Four passes run in a fixed order until nothing changes:
 
 1. eliminate_ineffective - variables that never influence the value
-   (decided by `counting.is_effective`, exhaustive enumeration under a
-   bit budget, re-exported here) become 0.
+   (all decided by one `counting.effective_variables` enumeration
+   under a bit budget) become 0.
 2. apply_algebraic_laws  - local identities: e^e -> 0, e-e -> 0,
    annihilators for *, @, &, units for ^, *, @, double complement.
 3. eliminate_dominated   - a subexpression dominated by a random r that
    occurs nowhere else collapses to r itself (it is a fresh uniform).
 4. apply_meta_theorems   - pattern table of known equivalences, each
    guarded by the same "r occurs nowhere else" side condition.
+
+Passes 3 and 4 share one loop, `_rewrite_innermost`: rewrite the
+innermost subterm a rule fires on, everywhere it occurs, and restart.
 
 Every pass preserves the joint distribution of the expression for each
 fixing of secrets and publics, never grows the tree, and never invents
@@ -29,7 +32,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as ex
-from .counting import _digits, distribution, is_effective
+from .counting import _digits, distribution, effective_variables
+from .counting import is_effective  # noqa: F401  re-exported
 from .domain import DomainConfig
 from .errors import OracleUnsound
 from .infer import dominant_vars
@@ -37,10 +41,14 @@ from .program import _Parser, _tokenize
 
 
 def eliminate_ineffective(e: ex.Expr, d: DomainConfig) -> ex.Expr:
-    """Replace every ineffective variable of e by the constant 0."""
-    for name in sorted(ex.variables(e)):
-        leaf = next(v for v in ex.var_counts(e) if v.name == name)
-        if not is_effective(name, e, d):
+    """Replace every ineffective variable of e by the constant 0.
+
+    One enumeration decides them all: zeroing one leaves the value of e,
+    and so the answer for every other variable, as it was.
+    """
+    effective = effective_variables(e, d)
+    for leaf in ex.var_leaves(e):
+        if leaf.name not in effective:
             e = ex.replace(e, leaf, ex.ZERO)
     return e
 
@@ -93,26 +101,31 @@ def _exclusive_to(e: ex.Expr, t: ex.Expr, r_name: str) -> bool:
     return total == ex.occurrences(e, t) * inside
 
 
-def eliminate_dominated(e: ex.Expr, d: DomainConfig) -> ex.Expr:
-    """Collapse r-dominated subexpressions to r when r occurs nowhere else.
+def _rewrite_innermost(e: ex.Expr, rewrite) -> ex.Expr:
+    """Rewrite e to a fixpoint, innermost subterms first.
 
-    Innermost candidates are tried first; each hit replaces all
-    occurrences of the subexpression and the scan restarts.
+    rewrite(e, t) returns what subterm t of e becomes, or None; each hit
+    replaces every occurrence of t and the scan restarts.
     """
-    changed = True
-    while changed:
-        changed = False
+    while True:
         for t in ex.subterms(e):
-            if isinstance(t, (ex.Var, ex.Const)):
-                continue
+            new = rewrite(e, t)
+            if new is not None:
+                e = ex.replace(e, t, new)
+                break
+        else:
+            return e
+
+
+def eliminate_dominated(e: ex.Expr, d: DomainConfig) -> ex.Expr:
+    """Collapse r-dominated subexpressions to r when r occurs nowhere else."""
+    def collapse(e, t):
+        if not isinstance(t, (ex.Var, ex.Const)):
             for r_name in sorted(dominant_vars(t, d)):
                 if _exclusive_to(e, t, r_name):
-                    e = ex.replace(e, t, ex.var(r_name, ex.RANDOM))
-                    changed = True
-                    break
-            if changed:
-                break
-    return e
+                    return ex.var(r_name, ex.RANDOM)
+        return None
+    return _rewrite_innermost(e, collapse)
 
 
 # --- meta-theorem patterns ----------------------------------------------------
@@ -207,34 +220,28 @@ def _instantiate(pattern: ex.Expr, bind: dict) -> ex.Expr:
 
 def apply_meta_theorems(e: ex.Expr, d: DomainConfig,
                         patterns=None) -> ex.Expr:
-    """Apply the pattern table to a fixpoint, innermost matches first.
+    """Apply the pattern table to a fixpoint, innermost matches first,
+    patterns in table order, a rewrite of a subterm to itself skipped.
 
     The distinguished random metavariable only matches a random
     variable that occurs nowhere outside the matched subterm.
     """
     if patterns is None:
         patterns = BUILTIN_META
-    changed = True
-    while changed:
-        changed = False
-        for t in ex.subterms(e):
-            for lhs, rhs in patterns:
-                bind: dict = {}
-                if not _match(lhs, t, bind):
-                    continue
-                r_bound = bind.get("r")
-                if r_bound is not None and \
-                        not _exclusive_to(e, t, r_bound.name):
-                    continue
-                replacement = _instantiate(rhs, bind)
-                if replacement is t:
-                    continue
-                e = ex.replace(e, t, replacement)
-                changed = True
-                break
-            if changed:
-                break
-    return e
+
+    def first_match(e, t):
+        for lhs, rhs in patterns:
+            bind: dict = {}
+            if not _match(lhs, t, bind):
+                continue
+            r = bind.get("r")
+            if r is not None and not _exclusive_to(e, t, r.name):
+                continue
+            replacement = _instantiate(rhs, bind)
+            if replacement is not t:
+                return replacement
+        return None
+    return _rewrite_innermost(e, first_match)
 
 
 def simplify(e: ex.Expr, d: DomainConfig, patterns=None) -> ex.Expr:

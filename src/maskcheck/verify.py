@@ -143,7 +143,10 @@ def _count_decide(x: str, e_hat: ex.Expr, cfg: EngineConfig,
             notes.append(f"solver fallback: {err}")
         else:
             if cfg.emit_smt_dir is not None:
-                emit_query(cfg.emit_smt_dir, x, query)
+                try:
+                    emit_query(cfg.emit_smt_dir, x, query)
+                except OSError as err:
+                    notes.append(f"smt emission skipped: {err}")
             timeout = None if deadline is None \
                 else deadline - time.monotonic()
             verdict = check_sat(query, cfg.solver_cmd, timeout)
@@ -151,7 +154,8 @@ def _count_decide(x: str, e_hat: ex.Expr, cfg: EngineConfig,
                 return SDD, METHOD_COUNT_SMT, None
             if verdict.kind == UNSAT:
                 return SID, METHOD_COUNT_SMT, None
-            # fall through to enumeration on an unknown answer
+            notes.append(f"solver fallback: solver answered unknown "
+                         f"({verdict.reason})")
     elif cfg.emit_smt_dir is not None:
         try:
             emit_query(cfg.emit_smt_dir, x, encode_psi(
@@ -245,8 +249,8 @@ def _strength(p: Program, v: VariableVerdict, cfg: EngineConfig,
                             cfg.smt_profile, deadline,
                             cfg.emit_smt_dir, v.name)
             return
-        except (InconclusiveSolver, SolverSpawnFailure,
-                TooManyCopies) as err:
+        except (InconclusiveSolver, SolverSpawnFailure, TooManyCopies,
+                OSError) as err:
             _add_note(v, f"solver fallback: {err}")
     try:
         qms = qms_exact(e_hat, cfg.domain, cfg.budget, cfg.jobs, deadline)

@@ -1,13 +1,19 @@
-"""Property tests: the enumerator against naive scalar references.
+"""Property tests: the enumerator against naive scalar references, and
+the deciders against each other.
 
 Random expressions at widths 1-3 over a leaf pool that includes
 publics and variables that cannot change the value. `distribution`,
-`check_si`, `qms_exact` and `is_effective` are compared with references
-built from `eval_expr` and `itertools.product`, whose loops run in
-lexicographic order, so the first gap they meet is the witness the
-enumerator must report. Every property runs twice: with the default
-chunk, and with `counting._CHUNK_CELLS` at 16 cells, so that rows wider
-than a chunk come in column slices.
+`check_si`, `qms_exact`, `is_effective` and `effective_variables` are
+compared with references built from `eval_expr` and
+`itertools.product`, whose loops run in lexicographic order, so the
+first gap they meet is the witness the enumerator must report. Each of
+these properties runs twice: with the default chunk, and with
+`counting._CHUNK_CELLS` at 16 cells, so that rows wider than a chunk
+come in column slices.
+
+The differential properties check that every reduction pass, and
+`simplify`, keeps the strength and the secret-independence answer of
+counting, and that the type rules never contradict counting.
 """
 
 import itertools
@@ -18,13 +24,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maskcheck import (
+    RUD,
+    SDD,
+    SID,
     Qms,
+    apply_algebraic_laws,
+    apply_meta_theorems,
     check_si,
+    check_uniform,
     counting,
     distribution,
+    effective_variables,
+    eliminate_dominated,
+    eliminate_ineffective,
     eval_expr,
+    infer,
     is_effective,
     make_domain,
+    qms_exact,
+    simplify,
 )
 from maskcheck import expr as ex
 
@@ -168,3 +186,53 @@ def test_is_effective(chunk, case):
         for x in sorted(ex.variables(e)):
             assert is_effective(x, e, d) == ref_is_effective(x, e, d), x
         assert not is_effective("absent", e, d)
+        assert effective_variables(e, d) == {
+            x for x in ex.variables(e) if ref_is_effective(x, e, d)}
+
+
+# --- differential: reductions and type rules against counting -------------------
+
+PASSES = {
+    "eliminate_ineffective": eliminate_ineffective,
+    "apply_algebraic_laws": lambda e, d: apply_algebraic_laws(e),
+    "eliminate_dominated": eliminate_dominated,
+    "apply_meta_theorems": apply_meta_theorems,
+    "simplify": simplify,
+}
+
+
+def differential_test(fn):
+    """Run fn on drawn cases, plus two that the collapsing passes must
+    leave alone or rewrite: r0 occurs outside the subterm it dominates,
+    and the built-in meta-theorem fires."""
+    shared = ex.binop("^", ex.binop("^", R0, K), R0)
+    meta = ex.binop("^", R0, ex.binop("&", ex.binop("*", ex.const(2), R0),
+                                      ex.binop("|", K, P)))
+    fn = example(case=(shared, make_domain(2)))(fn)
+    fn = example(case=(meta, make_domain(2)))(fn)
+    return settings(PROPERTY, max_examples=100)(given(case=cases())(fn))
+
+
+@differential_test
+def test_reductions_keep_the_counted_answers(case):
+    e, d = case
+    strength = qms_exact(e, d).fraction
+    si = check_si(e, d)[0]
+    for name, reduce in PASSES.items():
+        e_hat = reduce(e, d)
+        assert qms_exact(e_hat, d).fraction == strength, name
+        assert check_si(e_hat, d)[0] == si, name
+
+
+@differential_test
+def test_type_rules_agree_with_counting(case):
+    e, d = case
+    for form in (e, simplify(e, d)):
+        dist = infer(form, d).dist
+        strength = qms_exact(form, d).fraction
+        if dist is RUD:
+            assert check_uniform(form, d)
+        if dist in (RUD, SID):
+            assert strength == 1, ex.pretty(form)
+        elif dist is SDD:
+            assert strength < 1, ex.pretty(form)

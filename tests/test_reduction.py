@@ -1,5 +1,7 @@
 """Expression reductions: each pass alone, the fixpoint, and the oracle hook."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ R1 = var("r1", ex.RANDOM)
 P = var("p", ex.PUBLIC)
 
 D2 = make_domain(2)
+D4 = make_domain(4)
 D8 = make_domain(8)
 
 
@@ -91,6 +94,21 @@ class TestEffectiveness:
     def test_eliminate_keeps_effective(self):
         e = xor(K, R0)
         assert eliminate_ineffective(e, D8) is e
+
+    def test_eliminate_evaluates_once(self):
+        # 3 variables x 4 bits: one grid of 4096 cells answers for all
+        e = xor(xor(xor(K, R0), binop("&", P, const(0))), K)
+        with mock.patch.object(ex, "eval_vec", wraps=ex.eval_vec) as spy:
+            got = eliminate_ineffective(e, D4)
+        assert spy.call_count == 1
+        assert got is xor(xor(xor(const(0), R0), binop("&", const(0),
+                                                       const(0))), const(0))
+
+    def test_eliminate_over_budget_evaluates_nothing(self):
+        e = xor(xor(xor(K, R0), R1), K)
+        with mock.patch.object(ex, "eval_vec", wraps=ex.eval_vec) as spy:
+            assert eliminate_ineffective(e, D8) is e
+        assert spy.call_count == 0
 
 
 class TestAlgebraicLaws:

@@ -1,6 +1,8 @@
 """Whole-program verification: verdicts, strength, serialization."""
 
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -248,6 +250,8 @@ class TestSmtEngine:
         by_name = {v.name: v for v in report.verdicts}
         assert by_name["x2"].method == METHOD_COUNT_BF
         assert by_name["x2"].dist is SDD
+        assert by_name["x2"].note == \
+            "solver fallback: solver answered unknown (unknown)"
 
 
 # y needs 2^24 solver copies and 2^32 evaluations at 8 bits
@@ -297,13 +301,29 @@ class TestSolverFallbacks:
         assert y.note == \
             "smt emission skipped: 5 randoms x 4 bits would need 2^20 copies"
 
-    def test_unwritable_emission_directory_is_noted(self, cube, tmp_path):
+    def test_unknown_answer_is_noted(self, cube):
+        # 24 free bits at 8 bits: past what the fragment solver decides
+        fragment = Path(__file__).resolve().parent / "fragment_solver.py"
+        cfg = EngineConfig(D8, engine="smt",
+                           solver_cmd=f"{sys.executable} {fragment}")
+        by_name = {v.name: v for v in pm_check(cube, cfg).verdicts}
+        for name in ("x2", "x3"):
+            v = by_name[name]
+            assert (v.dist, v.method) == (SDD, METHOD_COUNT_BF), name
+            assert v.note.startswith(
+                "solver fallback: solver answered unknown ("), name
+
+    @pytest.mark.parametrize("engine", ["bruteforce", "smt"])
+    def test_unwritable_emission_directory_is_noted(self, cube, tmp_path,
+                                                    solver_cmd, engine):
         blocker = tmp_path / "file"
         blocker.write_text("")
-        cfg = EngineConfig(D2, emit_smt_dir=blocker / "queries")
-        by_name = {v.name: v for v in pm_check(cube, cfg).verdicts}
+        cfg = EngineConfig(D2, engine=engine, solver_cmd=solver_cmd,
+                           emit_smt_dir=blocker / "queries")
+        by_name = {v.name: v for v in qms_compute(cube, cfg).verdicts}
         assert by_name["x2"].dist is SDD
         assert by_name["x2"].note.startswith("smt emission skipped: ")
+        assert by_name["x2"].qms.fraction == Fraction(1, 4)
         assert by_name["x9"].note is None
 
 
