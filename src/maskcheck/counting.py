@@ -74,9 +74,12 @@ class CountVector:
 class Qms:
     """Quantitative masking strength num/den, deliberately unreduced.
 
-    The denominator is 2^(bits*|rvars|) of the counted expression. The
-    witness, present exactly when num < den, is the lexicographically
-    smallest (sigma1, sigma2, c) realizing the maximal count gap.
+    The denominator is 2^(bits*|rvars|) of the counted expression. From
+    qms_exact, the witness, present exactly when num < den, is the
+    lexicographically smallest (sigma1, sigma2, c) realizing the maximal
+    count gap. The verifier gives an SDD variable whose reduced
+    expansion has no randoms Qms(0, 1) with no witness; that variable's
+    own witness is the verdict's (sigma1, sigma2) pair, not a triple.
     """
 
     num: int

@@ -138,13 +138,16 @@ def gf_table(d: DomainConfig) -> np.ndarray:
 
 def gf_mul_vec(a: np.ndarray, b: np.ndarray, d: DomainConfig,
                _direct: bool = False) -> np.ndarray:
-    """Elementwise GF multiply on uint32 arrays.
+    """Elementwise GF multiply on uint32 arrays of domain values.
 
-    Uses the cached table for narrow domains; otherwise an unrolled
-    shift-and-xor product followed by modular reduction.
+    Operands must lie in [0, 2**bits), as eval_vec always gives. Narrow
+    domains gather from the cached table, flattened so that one index
+    (a << bits) | b replaces numpy's slower two-array indexing; wider
+    ones use an unrolled shift-and-xor product followed by modular
+    reduction.
     """
     if d.bits <= 8 and not _direct:
-        return gf_table(d)[a, b]
+        return gf_table(d).ravel()[(a << d.bits) | b]
     n = d.bits
     zero = np.uint32(0)
     prod = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint32)

@@ -10,6 +10,10 @@ For every internal variable x, in SSA order:
    strength is below 1. Results are stored against Expr(x) so that
    later variables containing it can reuse the verdict.
 
+When the strength is wanted too (qms_compute), step 4 enumerates with
+qms_exact instead of check_si, and the strength stage reuses that Qms:
+each counted variable is enumerated once.
+
 The "type-only" engine stops after step 1, leaving UKD variables as
 potentially leaky. Strength computation assigns 1 to every RUD/SID
 variable, 0 when the leaky expansion retains no randomness, and the
@@ -97,6 +101,9 @@ class Report:
     # reduced expansions kept so strength computation reuses them
     reduced: dict[str, ex.Expr] = field(default_factory=dict, repr=False,
                                         compare=False)
+    # strengths enumerated by the verdict stage, for the strength stage
+    counted: dict[str, Qms] = field(default_factory=dict, repr=False,
+                                    compare=False)
 
     @property
     def perfectly_masked(self) -> bool:
@@ -131,10 +138,15 @@ def _add_note(v: VariableVerdict, text: str) -> None:
 
 
 def _count_decide(x: str, e_hat: ex.Expr, cfg: EngineConfig,
-                  deadline: float | None, notes: list[str]):
+                  deadline: float | None, notes: list[str],
+                  counted: dict[str, Qms] | None):
     """SID/SDD by model counting. Returns (dist, method, witness).
 
     Why the solver or the emitted script was skipped goes to notes.
+    Enumeration asks check_si, or, when `counted` is given, qms_exact,
+    whose Qms is kept there: a zero gap is exactly secret independence,
+    and its (sigma1, sigma2) is check_si's pair whenever e_hat has no
+    randoms.
     """
     if cfg.engine == "smt":
         try:
@@ -162,13 +174,20 @@ def _count_decide(x: str, e_hat: ex.Expr, cfg: EngineConfig,
                 e_hat, 1, cfg.domain, cfg.smt_profile))
         except (MaskcheckError, OSError) as err:
             notes.append(f"smt emission skipped: {err}")
-    si, witness = check_si(e_hat, cfg.domain, cfg.budget, cfg.jobs, deadline)
+    if counted is None:
+        si, witness = check_si(e_hat, cfg.domain, cfg.budget, cfg.jobs,
+                               deadline)
+    else:
+        qms = counted[x] = qms_exact(e_hat, cfg.domain, cfg.budget,
+                                     cfg.jobs, deadline)
+        si = qms.num == qms.den
+        witness = None if si else qms.witness[:2]
     return (SID if si else SDD), METHOD_COUNT_BF, witness
 
 
 def _classify(p: Program, x: str, cfg: EngineConfig,
-              store: dict[ex.Expr, DistType],
-              hats: dict[str, ex.Expr]) -> VariableVerdict:
+              store: dict[ex.Expr, DistType], hats: dict[str, ex.Expr],
+              counted: dict[str, Qms] | None) -> VariableVerdict:
     started = time.monotonic()
     deadline = _deadline(cfg)
     notes: list[str] = []
@@ -203,7 +222,8 @@ def _classify(p: Program, x: str, cfg: EngineConfig,
                                        j_oracle.rule_trace,
                                        elapsed=time.monotonic() - started)
 
-        dist, method, witness = _count_decide(x, e_hat, cfg, deadline, notes)
+        dist, method, witness = _count_decide(x, e_hat, cfg, deadline, notes,
+                                              counted)
         store[e] = dist
         store[e_hat] = dist
         return VariableVerdict(x, dist, method, ("counted",), witness=witness,
@@ -217,23 +237,46 @@ def _classify(p: Program, x: str, cfg: EngineConfig,
                                elapsed=time.monotonic() - started)
 
 
-def pm_check(p: Program, cfg: EngineConfig) -> Report:
-    """Classify every internal variable (perfect masking check)."""
+def _walk(p: Program, cfg: EngineConfig, strength: bool) -> Report:
+    """Classify every internal variable; with `strength`, counting keeps
+    the Qms of each variable it enumerates in Report.counted."""
     started = time.monotonic()
     store: dict[ex.Expr, DistType] = {}
     hats: dict[str, ex.Expr] = {}
-    verdicts = [_classify(p, x, cfg, store, hats) for x in p.internals]
+    counted: dict[str, Qms] = {}
+    verdicts = [_classify(p, x, cfg, store, hats,
+                          counted if strength else None)
+                for x in p.internals]
     return Report(p.name, cfg.domain.bits, cfg.domain.poly, verdicts,
-                  elapsed=time.monotonic() - started, reduced=hats)
+                  elapsed=time.monotonic() - started, reduced=hats,
+                  counted=counted)
+
+
+def pm_check(p: Program, cfg: EngineConfig) -> Report:
+    """Classify every internal variable (perfect masking check)."""
+    return _walk(p, cfg, strength=False)
+
+
+def _solver_strength(v: VariableVerdict, e_hat: ex.Expr, cfg: EngineConfig,
+                     deadline: float | None) -> Qms:
+    """qms_smt, asked again without emission if the scripts cannot be
+    written: as in the verdict stage, emission is skipped with a note."""
+    args = (e_hat, cfg.domain, cfg.solver_cmd, cfg.smt_profile, deadline)
+    if cfg.emit_smt_dir is not None:
+        try:
+            return qms_smt(*args, cfg.emit_smt_dir, v.name)
+        except OSError as err:
+            _add_note(v, f"smt emission skipped: {err}")
+    return qms_smt(*args)
 
 
 def _strength(p: Program, v: VariableVerdict, cfg: EngineConfig,
-              hats: dict) -> None:
+              report: Report) -> None:
     deadline = _deadline(cfg)
-    e_hat = hats.get(v.name)
+    e_hat = report.reduced.get(v.name)
     if e_hat is None:
         e_hat = simplify(expr_of(p, v.name), cfg.domain, cfg.meta_patterns)
-        hats[v.name] = e_hat
+        report.reduced[v.name] = e_hat
     den = cfg.domain.size ** len(ex.rvars(e_hat))
     if v.dist in (DistType.RUD, DistType.SID):
         v.qms = Qms(den, den)
@@ -245,18 +288,19 @@ def _strength(p: Program, v: VariableVerdict, cfg: EngineConfig,
         return
     if cfg.engine == "smt":
         try:
-            v.qms = qms_smt(e_hat, cfg.domain, cfg.solver_cmd,
-                            cfg.smt_profile, deadline,
-                            cfg.emit_smt_dir, v.name)
+            v.qms = _solver_strength(v, e_hat, cfg, deadline)
             return
         except (InconclusiveSolver, SolverSpawnFailure, TooManyCopies,
                 OSError) as err:
             _add_note(v, f"solver fallback: {err}")
-    try:
-        qms = qms_exact(e_hat, cfg.domain, cfg.budget, cfg.jobs, deadline)
-    except (BudgetExceeded, VariableTimeout) as err:
-        _add_note(v, f"{type(err).__name__}: {err}")
-        return
+    qms = report.counted.get(v.name)
+    if qms is None:
+        try:
+            qms = qms_exact(e_hat, cfg.domain, cfg.budget, cfg.jobs,
+                            deadline)
+        except (BudgetExceeded, VariableTimeout) as err:
+            _add_note(v, f"{type(err).__name__}: {err}")
+            return
     v.qms = qms
     if qms.witness is not None:
         v.witness = qms.witness
@@ -267,9 +311,9 @@ def qms_compute(p: Program, cfg: EngineConfig) -> Report:
     if cfg.engine == "type-only":
         raise ValueError("strength computation needs a counting engine")
     started = time.monotonic()
-    report = pm_check(p, cfg)
+    report = _walk(p, cfg, strength=True)
     for v in report.verdicts:
-        _strength(p, v, cfg, report.reduced)
+        _strength(p, v, cfg, report)
     strengths = [v.qms.fraction for v in report.verdicts if v.qms is not None]
     if strengths:
         worst = min(strengths)

@@ -146,13 +146,22 @@ class TestGfMulVec:
             assert int(z) == gf_mul(int(x), int(y), d)
 
     def test_table_and_direct_paths_agree(self):
-        d = make_domain(8)
-        a = np.arange(256, dtype=np.uint32)[:, None]
-        b = np.arange(256, dtype=np.uint32)[None, :]
-        shape = (256, 256)
-        direct = gf_mul_vec(np.broadcast_to(a, shape),
-                            np.broadcast_to(b, shape), d, _direct=True)
-        assert np.array_equal(gf_mul_vec(a, b, d), direct)
+        for bits in range(1, 9):
+            d = make_domain(bits)
+            a = np.arange(d.size, dtype=np.uint32)[:, None]
+            b = np.arange(d.size, dtype=np.uint32)[None, :]
+            shape = (d.size, d.size)
+            direct = gf_mul_vec(np.broadcast_to(a, shape),
+                                np.broadcast_to(b, shape), d, _direct=True)
+            # (n, 1) x (1, m), same-shape vectors, and scalar x vector
+            assert np.array_equal(gf_mul_vec(a, b, d), direct), bits
+            assert np.array_equal(gf_mul_vec(a[:, 0], b[0], d),
+                                  direct.diagonal()), bits
+            for x in range(d.size):
+                assert np.array_equal(gf_mul_vec(np.uint32(x), b[0], d),
+                                      direct[x]), (bits, x)
+                assert np.array_equal(gf_mul_vec(a[:, 0], np.uint32(x), d),
+                                      direct[:, x]), (bits, x)
 
     def test_broadcasting(self):
         d = make_domain(2)

@@ -17,6 +17,9 @@ counting, and that the type rules never contradict counting.
 """
 
 import itertools
+import random
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -24,9 +27,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maskcheck import (
+    METHOD_COUNT_BF,
     RUD,
     SDD,
     SID,
+    EngineConfig,
     Qms,
     apply_algebraic_laws,
     apply_meta_theorems,
@@ -41,10 +46,15 @@ from maskcheck import (
     infer,
     is_effective,
     make_domain,
+    parse,
+    pm_check,
+    qms_compute,
     qms_exact,
+    qms_smt,
     simplify,
 )
 from maskcheck import expr as ex
+from randprog import random_program
 
 FIXED = (ex.var("k", ex.SECRET), ex.var("k2", ex.SECRET),
          ex.var("p", ex.PUBLIC))
@@ -72,10 +82,13 @@ def property_test(fn):
 
 
 @st.composite
-def cases(draw):
-    bits = draw(st.integers(1, 3))
+def cases(draw, max_bits=3, random_bits=CELL_BITS):
+    """(e, domain): at most max_bits wide, bits * |randoms| <= random_bits."""
+    bits = draw(st.integers(1, max_bits))
     room = CELL_BITS // bits
     leaves = [v for v in FIXED + RANDOMS if draw(st.booleans())][:room]
+    rands = [v for v in leaves if v.kind == ex.RANDOM][random_bits // bits:]
+    leaves = [v for v in leaves if v not in rands]
     leaf = st.integers(0, (1 << bits) - 1).map(ex.const)
     if leaves:
         leaf = st.one_of(st.sampled_from(leaves), leaf)
@@ -236,3 +249,71 @@ def test_type_rules_agree_with_counting(case):
             assert strength == 1, ex.pretty(form)
         elif dist is SDD:
             assert strength < 1, ex.pretty(form)
+
+
+# --- counted once: qms_compute against the two-stage reference ----------------
+
+# y's reduced expansion keeps no random: SDD with QMS 0/1 and a pair witness
+BARE = parse("""
+fn Bare(k: secret, p: public, r0: random) {
+  a = k @ k;
+  y = a ^ p;
+  return y;
+}
+""")
+
+
+def check_counted_once(p, d):
+    """qms_compute gives pm_check's verdicts, and every counted variable
+    the strength and witness of qms_exact on its reduced expansion."""
+    cfg = EngineConfig(d)
+    report = qms_compute(p, cfg)
+    reference = pm_check(p, cfg)
+    for v, ref in zip(report.verdicts, reference.verdicts, strict=True):
+        assert (v.name, v.dist, v.method) == (ref.name, ref.dist, ref.method)
+        if v.method != METHOD_COUNT_BF:
+            continue
+        e_hat = report.reduced[v.name]
+        qms = qms_exact(e_hat, d)
+        assert v.qms.fraction == qms.fraction, v.name
+        if v.dist is SDD and not ex.rvars(e_hat):
+            assert v.qms == Qms(0, 1), v.name
+            assert v.witness == ref.witness == check_si(e_hat, d)[1], v.name
+        elif v.dist is SDD:
+            assert v.witness == qms.witness, v.name
+    return report
+
+
+programs = st.builds(
+    lambda seed, bits: (random_program(random.Random(seed), bits),
+                        make_domain(bits)),
+    st.integers(0, 2**32 - 1), st.integers(2, 3))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(case=programs)
+def test_qms_compute_counts_like_two_stages(case):
+    check_counted_once(*case)
+
+
+@pytest.mark.parametrize("bits", [2, 3])
+def test_counted_without_randoms_keeps_the_pair(bits):
+    y = check_counted_once(BARE, make_domain(bits)).verdicts[-1]
+    assert (y.name, y.dist, y.method) == ("y", SDD, METHOD_COUNT_BF)
+    assert y.witness == ({"k": 0, "p": 0}, {"k": 1, "p": 0})
+
+
+# --- differential: the solver's strength against counting ----------------------
+
+FRAGMENT_SOLVER = \
+    f"{sys.executable} {Path(__file__).resolve().parent / 'fragment_solver.py'}"
+
+
+# each query starts a solver process (about 70 ms): few draws, m <= 4
+@settings(PROPERTY, max_examples=12)
+@given(case=cases(max_bits=2, random_bits=4))
+def test_solver_strength_matches_counting(case):
+    e, d = case
+    e_hat = simplify(e, d)
+    got = qms_smt(e_hat, d, FRAGMENT_SOLVER)
+    assert got.fraction == qms_exact(e_hat, d).fraction, ex.pretty(e_hat)

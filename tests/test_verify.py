@@ -34,6 +34,7 @@ from maskcheck import (
     var,
 )
 from maskcheck import expr as ex
+from maskcheck import verify
 
 D2 = make_domain(2)
 D4 = make_domain(4)
@@ -323,8 +324,73 @@ class TestSolverFallbacks:
         by_name = {v.name: v for v in qms_compute(cube, cfg).verdicts}
         assert by_name["x2"].dist is SDD
         assert by_name["x2"].note.startswith("smt emission skipped: ")
+        assert "solver fallback" not in by_name["x2"].note
         assert by_name["x2"].qms.fraction == Fraction(1, 4)
         assert by_name["x9"].note is None
+
+
+@pytest.fixture
+def counting_calls(monkeypatch):
+    """(function, counted expression) for each counting call verify makes."""
+    calls = []
+    for name in ("check_si", "qms_exact"):
+        def logged(e, *args, _name=name, _count=getattr(verify, name),
+                   **kwargs):
+            calls.append((_name, e))
+            return _count(e, *args, **kwargs)
+        monkeypatch.setattr(verify, name, logged)
+    return calls
+
+
+def counted_names(report, calls):
+    """(function, variable) per call, the variable found by its e-hat."""
+    return sorted((fn, name) for fn, e in calls
+                  for name, e_hat in report.reduced.items() if e_hat is e)
+
+
+class TestCountOnce:
+    def test_qms_compute_counts_each_variable_once(self, cube,
+                                                   counting_calls):
+        report = qms_compute(cube, EngineConfig(D8))
+        assert counted_names(report, counting_calls) == [
+            ("qms_exact", "x2"), ("qms_exact", "x3")]
+        by_name = {v.name: v for v in report.verdicts}
+        for name in ("x2", "x3"):
+            assert by_name[name].method == METHOD_COUNT_BF
+            assert by_name[name].qms is report.counted[name]
+
+    def test_pm_check_keeps_check_si(self, cube, counting_calls):
+        report = pm_check(cube, EngineConfig(D8))
+        assert counted_names(report, counting_calls) == [
+            ("check_si", "x2"), ("check_si", "x3")]
+        assert report.counted == {}
+        x2 = next(v for v in report.verdicts if v.name == "x2")
+        assert x2.witness == ({"k": 0}, {"k": 1})
+
+    def test_solver_fallback_counts_once(self, solver_cmd, counting_calls):
+        cfg = EngineConfig(D8, engine="smt", solver_cmd=solver_cmd)
+        report = qms_compute(WIDE, cfg)
+        assert [call for call in counted_names(report, counting_calls)
+                if call[1] == "y"] == [("qms_exact", "y")]
+        y = report.verdicts[-1]
+        # y's one count is over budget: inconclusive, as before
+        assert (y.name, y.dist, y.method, y.qms, y.witness) == \
+            ("y", UKD, METHOD_INCONCLUSIVE, None, None)
+        assert y.note == (
+            "solver fallback: 3 randoms x 8 bits would need 2^24 copies; "
+            "BudgetExceeded: 256 sigma x 16777216 random assignments "
+            "exceed the budget of 268435456 evaluations")
+
+    def test_solver_fallback_strength_from_the_verdict_count(
+            self, solver_cmd, counting_calls):
+        cfg = EngineConfig(D4, engine="smt", solver_cmd=solver_cmd)
+        report = qms_compute(FIVE, cfg)
+        y = report.verdicts[-1]
+        assert counted_names(report, counting_calls) == [("qms_exact", "y")]
+        assert y.note == \
+            "solver fallback: 5 randoms x 4 bits would need 2^20 copies"
+        assert y.qms == Qms(954112, 1 << 20, ({"k": 0}, {"k": 15}, 0))
+        assert y.witness == y.qms.witness
 
 
 class TestQmsCompute:
