@@ -3,9 +3,12 @@
 Exhaustive enumeration dies at 2^(bits * #randoms). The alternative:
 encode "more than delta of 2^m random assignments hit value c under
 sigma1 but not sigma2" as a bit-vector formula with one variable copy
-per random assignment, and binary-search the threshold q over dyadic
-rationals. Each step needs one sat/unsat verdict; m+1 conclusive
-answers pin the strength exactly, models never get parsed.
+per random assignment, and search the threshold over dyadic rationals.
+The first step is the verdict question "is the strength below 1?".
+Each sat answer's model (sigma1, sigma2, c) is replayed by exact
+counting, and the gap it realises raises the lower end of the search,
+so at most m+1 answers pin the strength exactly, often fewer, and the
+replayed model comes back as the witness.
 """
 
 import os
@@ -58,9 +61,12 @@ with tempfile.TemporaryDirectory() as tmp:
     stats = {}
     got = qms_smt(e, d, solver, emit_dir=tmp, var_name="e", stats=stats)
     want = qms_exact(e, d)
-    print(f"binary search: QMS = {got.num}/{got.den} "
-          f"in {stats['queries']} queries (m+1 = {stats['m'] + 1})")
+    print(f"model-guided search: QMS = {got.num}/{got.den} "
+          f"in {stats['queries']} queries (at most m+1 = {stats['m'] + 1})")
     print(f"exact counting agrees: {got.fraction == want.fraction}")
+    if got.witness is not None:  # None only from a solver without models
+        s1, s2, c = got.witness
+        print(f"replayed witness: value {c} under {s1} versus {s2}")
     print("emitted queries:")
     for name in sorted(os.listdir(tmp)):
         print(f"  {name}")

@@ -19,15 +19,23 @@ balanced adder tree, so emitted files can be golden-tested and cached.
 Profiles: "bv" sums indicator bit-vectors of width m+2 (wide enough
 that sum + delta never wraps) in logic QF_BV; "int" sums integer
 indicators, for solvers that accept mixed bit-vector/integer scripts.
+Every script asks for a model: after (check-sat) it requests the values
+of p_*, k_*, kk_* and c, which check_sat parses when the answer is sat.
 
-qms_smt runs the dyadic binary search: at most m+1 queries, each
-conclusive answer halving the interval, yielding the exact strength
-low/2^m without ever enumerating sigma space.
+GapSearch pins the largest count gap G = 2^m * (1 - QMS) in at most
+m+1 queries, the first of which is the q = 1 verdict question "G > 0?".
+Each sat model is replayed by exact counting, and the gap it realises
+raises the lower end of the search, so one lucky model can settle many
+bits at once. qms_smt runs the search to the end: the exact strength,
+with the replayed (sigma1, sigma2, c) that realises it as the witness.
+Unlike qms_exact's, that witness need not be the lexicographically
+smallest.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import shlex
 import subprocess
 import tempfile
@@ -65,6 +73,7 @@ class SolverVerdict:
     kind: str               # sat | unsat | unknown
     reason: str = ""
     elapsed: float = 0.0
+    model: dict[str, int] | None = None   # get-value answers after sat
 
 
 def _bv(value: int, width: int) -> str:
@@ -161,7 +170,7 @@ def encode_psi(e: ex.Expr, q, d: DomainConfig,
         raise TooManyCopies(
             f"{len(rand_names)} randoms x {n} bits would need 2^{m} copies")
     copies = 1 << m
-    # exact for the dyadic thresholds the binary search asks about;
+    # exact for the dyadic thresholds GapSearch asks about;
     # for other q the ceiling errs on the unsatisfiable side
     delta = math.ceil((1 - q) * copies)
 
@@ -172,6 +181,7 @@ def encode_psi(e: ex.Expr, q, d: DomainConfig,
     lines = [
         f"; masking-strength query: is QMS({ex.pretty(e)}) < {q}?",
         f"; bits {n}, modulus {d.poly:#x}, copies 2^{m}, delta {delta}",
+        "(set-option :produce-models true)",
         "(set-logic QF_BV)" if profile == "bv" else "(set-logic ALL)",
     ]
     order = ex.postorder(e)
@@ -215,6 +225,10 @@ def encode_psi(e: ex.Expr, q, d: DomainConfig,
         sum_j = _balanced_sum([f"j_{t}" for t in range(copies)], "+")
         lines.append(f"(assert (> (- {sum_i} {sum_j}) {delta}))")
     lines.append("(check-sat)")
+    names = [f"p_{name}" for name in publics] + \
+        [f"k_{name}" for name in secrets] + \
+        [f"kk_{name}" for name in secrets] + ["c"]
+    lines.append(f"(get-value ({' '.join(names)}))")
     return SmtQuery("\n".join(lines) + "\n", q, m, delta)
 
 
@@ -226,13 +240,35 @@ def emit_query(out_dir: str | Path, var_name: str, query: SmtQuery) -> None:
     (out / name).write_text(query.text)
 
 
+# one (name value) pair of a get-value answer: #b..., #x... or (_ bvN w)
+_BINDING = re.compile(
+    r"\(\s*([A-Za-z_][\w.]*)\s+"
+    r"(?:#b([01]+)|#x([0-9a-fA-F]+)|\(\s*_\s+bv(\d+)\s+\d+\s*\))\s*\)")
+
+
+def _parse_model(text: str) -> dict[str, int] | None:
+    """The name -> value pairs of a get-value answer, None if it has none."""
+    model = {}
+    for name, binary, hexa, decimal in _BINDING.findall(text):
+        if binary:
+            model[name] = int(binary, 2)
+        elif hexa:
+            model[name] = int(hexa, 16)
+        else:
+            model[name] = int(decimal)
+    return model or None
+
+
 def check_sat(query: SmtQuery, solver_cmd: str,
               timeout: float | None = None,
               script_path: str | Path | None = None) -> SolverVerdict:
     """Run an external solver on the query script (path passed last).
 
     Output containing a bare `sat`/`unsat` line decides the verdict;
-    anything else, including a timeout, is UNKNOWN.
+    anything else, including a timeout, is UNKNOWN. After `sat`, the
+    values the script's get-value asks for become the verdict's model;
+    what a solver prints after `unsat` (an error, since there is no
+    model) is ignored.
     """
     started = time.monotonic()
     if script_path is None:
@@ -257,10 +293,12 @@ def check_sat(query: SmtQuery, solver_cmd: str,
         if script_path is None:
             path.unlink(missing_ok=True)
     elapsed = time.monotonic() - started
-    for line in proc.stdout.splitlines():
+    lines = proc.stdout.splitlines()
+    for i, line in enumerate(lines):
         word = line.strip()
         if word == "sat":
-            return SolverVerdict(SAT, elapsed=elapsed)
+            return SolverVerdict(SAT, elapsed=elapsed, model=_parse_model(
+                "\n".join(lines[i + 1:])))
         if word == "unsat":
             return SolverVerdict(UNSAT, elapsed=elapsed)
     reason = (proc.stdout + proc.stderr).strip().splitlines()
@@ -268,45 +306,112 @@ def check_sat(query: SmtQuery, solver_cmd: str,
                          elapsed)
 
 
-def qms_smt(e: ex.Expr, d: DomainConfig, solver_cmd: str,
-            profile: str = "bv", deadline: float | None = None,
-            emit_dir: str | Path | None = None, var_name: str = "e",
-            stats: dict | None = None):
-    """Masking strength by binary search over dyadic thresholds.
+def _replay(e: ex.Expr, d: DomainConfig, model: dict[str, int]):
+    """(gap, (sigma1, sigma2, c)): the largest count gap of the model's
+    two fixings, over every value c and both orders of the pair."""
+    from .counting import distribution  # import here: counting pulls in numpy
 
-    Needs at most m+1 conclusive solver answers (m = bits * |rvars|).
-    An unknown answer raises InconclusiveSolver; the caller may fall
-    back to exact counting. The result carries no witness (models are
-    never parsed).
+    rows = sorted((v.name, v.kind == ex.PUBLIC) for v in ex.var_counts(e)
+                  if v.kind != ex.RANDOM)
+    try:
+        s1 = {n: model[f"p_{n}" if public else f"k_{n}"] for n, public in rows}
+        s2 = {n: model[f"p_{n}" if public else f"kk_{n}"]
+              for n, public in rows}
+    except KeyError:
+        raise InconclusiveSolver("model does not realise the gap") from None
+    diff = distribution(e, s1, d).counts - distribution(e, s2, d).counts
+    up, down = int(diff.argmax()), int(diff.argmin())
+    if diff[up] >= -diff[down]:
+        return int(diff[up]), (s1, s2, up)
+    return int(-diff[down]), (s2, s1, down)
+
+
+class GapSearch:
+    """Model-guided search for the largest count gap G of e.
+
+    G lies in [lo, hi], which starts at [0, 2^m]; the search is over
+    when lo == hi. Each step asks "G > t?" (the query for
+    q = (2^m - t) / 2^m) at the lowest threshold that still finishes
+    within m+1 queries, t = max(lo, hi - 2^(left - 1)) with `left`
+    queries left, so the first step is the q = 1 verdict question and
+    a secret-independent e needs that one query. unsat gives hi = t;
+    sat gives lo = t + 1, and when the answer carries a model, the gap
+    replayed from it, with the replayed triple as the witness. A model
+    whose gap does not lie in (t, hi] raises InconclusiveSolver, as
+    does an unknown answer. The witness, when not None, realises lo.
+
+    A step that raises leaves lo, hi and the witness as they were. With
+    emit_dir set, a script that cannot be written raises OSError before
+    the solver is asked, so the step can be asked again without it.
     """
-    from .counting import Qms  # import here: counting pulls in numpy
 
-    m = d.bits * len(ex.rvars(e))
-    copies = 1 << m
-    low, high = 0, copies
-    queries = 0
-    while low < high:
-        mid = (low + high + 1) // 2
-        q = Fraction(mid, copies)
-        query = encode_psi(e, q, d, profile)
-        if emit_dir is not None:
-            emit_query(emit_dir, var_name, query)
+    def __init__(self, e: ex.Expr, d: DomainConfig, solver_cmd: str,
+                 profile: str = "bv", emit_dir: str | Path | None = None,
+                 var_name: str = "e", stats: dict | None = None):
+        self.e, self.d, self.solver_cmd, self.profile = e, d, solver_cmd, \
+            profile
+        self.emit_dir, self.var_name, self.stats = emit_dir, var_name, stats
+        m = d.bits * len(ex.rvars(e))
+        self.copies = 1 << m
+        self.lo, self.hi, self.left = 0, self.copies, m + 1
+        self.witness = None
+        if stats is not None:
+            stats.update(queries=0, m=m)
+
+    def step(self, deadline: float | None = None) -> None:
+        """Ask the next question and narrow [lo, hi] by its answer."""
+        copies = self.copies
+        t = max(self.lo, self.hi - (1 << (self.left - 1)))
+        q = Fraction(copies - t, copies)
+        query = encode_psi(self.e, q, self.d, self.profile)
+        if self.emit_dir is not None:
+            emit_query(self.emit_dir, self.var_name, query)
         timeout = None
         if deadline is not None:
             timeout = deadline - time.monotonic()
             if timeout <= 0:
                 raise InconclusiveSolver("deadline exhausted before query")
-        verdict = check_sat(query, solver_cmd, timeout)
-        queries += 1
+        verdict = check_sat(query, self.solver_cmd, timeout)
+        if self.stats is not None:
+            self.stats["queries"] += 1
         if verdict.kind == SAT:
-            high = mid - 1
+            lo, witness = t + 1, None
+            if verdict.model is not None:
+                gap, witness = _replay(self.e, self.d, verdict.model)
+                if not t < gap <= self.hi:
+                    raise InconclusiveSolver("model does not realise the gap")
+                lo = gap
+            self.lo, self.witness = lo, witness
         elif verdict.kind == UNSAT:
-            low = mid
+            self.hi = t
         else:
+            # the verdict question needs no threshold in its reason
+            at = "" if t == 0 else f" for q={q}"
             raise InconclusiveSolver(
-                f"solver answered {verdict.kind} ({verdict.reason}) "
-                f"for q={q}")
-    if stats is not None:
-        stats["queries"] = queries
-        stats["m"] = m
-    return Qms(low, copies)
+                f"solver answered {verdict.kind} ({verdict.reason}){at}")
+        self.left -= 1
+
+    def run(self, deadline: float | None = None):
+        """Ask until lo == hi: the strength 1 - G/2^m, with the witness."""
+        from .counting import Qms  # import here: counting pulls in numpy
+
+        while self.lo < self.hi:
+            self.step(deadline)
+        return Qms(self.copies - self.lo, self.copies, self.witness)
+
+
+def qms_smt(e: ex.Expr, d: DomainConfig, solver_cmd: str,
+            profile: str = "bv", deadline: float | None = None,
+            emit_dir: str | Path | None = None, var_name: str = "e",
+            stats: dict | None = None):
+    """Masking strength by a GapSearch run to the end.
+
+    Needs at most m+1 conclusive solver answers (m = bits * |rvars|),
+    one for a secret-independent e. An unknown answer or a model that
+    does not replay raises InconclusiveSolver; the caller may fall back
+    to exact counting. The witness is the replayed (sigma1, sigma2, c)
+    that realises the gap, not necessarily the lexicographically
+    smallest one; it is None when the solver gives no models.
+    """
+    return GapSearch(e, d, solver_cmd, profile, emit_dir, var_name,
+                     stats).run(deadline)

@@ -7,17 +7,19 @@ For every internal variable x, in SSA order:
 3. Otherwise ask the registered transformation oracles for a rewrite.
 4. Otherwise decide by model counting on e-hat: the bruteforce engine
    enumerates exactly, the smt engine asks a solver whether the
-   strength is below 1. Results are stored against Expr(x) so that
-   later variables containing it can reuse the verdict.
+   strength is below 1 and replays a sat model into the (sigma1,
+   sigma2) witness. Results are stored against Expr(x) so that later
+   variables containing it can reuse the verdict.
 
 When the strength is wanted too (qms_compute), step 4 enumerates with
-qms_exact instead of check_si, and the strength stage reuses that Qms:
-each counted variable is enumerated once.
+qms_exact instead of check_si, or runs the solver's gap search to the
+end, of which the verdict question is the first step; the strength
+stage reuses that Qms: each counted variable is counted once.
 
 The "type-only" engine stops after step 1, leaving UKD variables as
 potentially leaky. Strength computation assigns 1 to every RUD/SID
 variable, 0 when the leaky expansion retains no randomness, and the
-exact gap otherwise (binary search over a solver, or enumeration).
+exact gap otherwise (a solver's gap search, or enumeration).
 
 Budget or deadline overruns mark the variable inconclusive and the run
 continues. Reports serialize to stable JSON: identical inputs and
@@ -46,7 +48,7 @@ from .errors import (
 from .infer import SDD, SID, UKD, DistType, infer
 from .program import Program, expr_of
 from .reduction import apply_oracle, simplify
-from .smt import SAT, UNSAT, check_sat, emit_query, encode_psi, qms_smt
+from .smt import GapSearch, emit_query, encode_psi
 
 ENGINES = ("type-only", "bruteforce", "smt")
 
@@ -137,37 +139,55 @@ def _add_note(v: VariableVerdict, text: str) -> None:
         v.note = f"{v.note}; {text}"
 
 
+def _solve(search: GapSearch, deadline: float | None, note,
+           whole: bool = True):
+    """search.run(deadline), or with whole=False its next step only. A
+    script that cannot be written is noted and the step is asked again
+    without emission: emission never decides whether the solver is
+    asked."""
+    ask = search.run if whole else search.step
+    try:
+        return ask(deadline)
+    except OSError as err:
+        if search.emit_dir is None:
+            raise
+        note(f"smt emission skipped: {err}")
+        search.emit_dir = None
+        return ask(deadline)
+
+
 def _count_decide(x: str, e_hat: ex.Expr, cfg: EngineConfig,
                   deadline: float | None, notes: list[str],
                   counted: dict[str, Qms] | None):
     """SID/SDD by model counting. Returns (dist, method, witness).
 
     Why the solver or the emitted script was skipped goes to notes.
-    Enumeration asks check_si, or, when `counted` is given, qms_exact,
-    whose Qms is kept there: a zero gap is exactly secret independence,
-    and its (sigma1, sigma2) is check_si's pair whenever e_hat has no
-    randoms.
+    The solver's verdict is the first step of its GapSearch; when
+    `counted` is given, the search runs on and its Qms is kept there.
+    That rest of the search is the strength stage's work, so it runs
+    on a deadline of its own, started after the verdict's answer; an
+    answer that ends it early is noted, and the strength stage
+    enumerates instead. Enumeration asks check_si, or, when `counted`
+    is given, qms_exact, whose Qms is kept there: a zero gap is exactly
+    secret independence, and its (sigma1, sigma2) is check_si's pair
+    whenever e_hat has no randoms.
     """
     if cfg.engine == "smt":
+        search = GapSearch(e_hat, cfg.domain, cfg.solver_cmd,
+                           cfg.smt_profile, cfg.emit_smt_dir, x)
         try:
-            query = encode_psi(e_hat, 1, cfg.domain, cfg.smt_profile)
-        except TooManyCopies as err:
+            _solve(search, deadline, notes.append, whole=False)
+        except (InconclusiveSolver, TooManyCopies) as err:
             notes.append(f"solver fallback: {err}")
         else:
-            if cfg.emit_smt_dir is not None:
+            if counted is not None:
                 try:
-                    emit_query(cfg.emit_smt_dir, x, query)
-                except OSError as err:
-                    notes.append(f"smt emission skipped: {err}")
-            timeout = None if deadline is None \
-                else deadline - time.monotonic()
-            verdict = check_sat(query, cfg.solver_cmd, timeout)
-            if verdict.kind == SAT:
-                return SDD, METHOD_COUNT_SMT, None
-            if verdict.kind == UNSAT:
-                return SID, METHOD_COUNT_SMT, None
-            notes.append(f"solver fallback: solver answered unknown "
-                         f"({verdict.reason})")
+                    counted[x] = _solve(search, _deadline(cfg), notes.append)
+                except (InconclusiveSolver, SolverSpawnFailure) as err:
+                    notes.append(f"solver fallback: {err}")
+            witness = search.witness
+            return (SDD if search.lo else SID), METHOD_COUNT_SMT, \
+                None if witness is None else witness[:2]
     elif cfg.emit_smt_dir is not None:
         try:
             emit_query(cfg.emit_smt_dir, x, encode_psi(
@@ -257,19 +277,6 @@ def pm_check(p: Program, cfg: EngineConfig) -> Report:
     return _walk(p, cfg, strength=False)
 
 
-def _solver_strength(v: VariableVerdict, e_hat: ex.Expr, cfg: EngineConfig,
-                     deadline: float | None) -> Qms:
-    """qms_smt, asked again without emission if the scripts cannot be
-    written: as in the verdict stage, emission is skipped with a note."""
-    args = (e_hat, cfg.domain, cfg.solver_cmd, cfg.smt_profile, deadline)
-    if cfg.emit_smt_dir is not None:
-        try:
-            return qms_smt(*args, cfg.emit_smt_dir, v.name)
-        except OSError as err:
-            _add_note(v, f"smt emission skipped: {err}")
-    return qms_smt(*args)
-
-
 def _strength(p: Program, v: VariableVerdict, cfg: EngineConfig,
               report: Report) -> None:
     deadline = _deadline(cfg)
@@ -286,14 +293,17 @@ def _strength(p: Program, v: VariableVerdict, cfg: EngineConfig,
     if not ex.rvars(e_hat):
         v.qms = Qms(0, 1)
         return
-    if cfg.engine == "smt":
+    qms = report.counted.get(v.name)
+    # a rule closed v, so no solver was asked; a counting-smt v without
+    # a Qms had its search end early, which the verdict already notes
+    if qms is None and cfg.engine == "smt" and v.method != METHOD_COUNT_SMT:
         try:
-            v.qms = _solver_strength(v, e_hat, cfg, deadline)
-            return
+            qms = _solve(GapSearch(e_hat, cfg.domain, cfg.solver_cmd,
+                                   cfg.smt_profile, cfg.emit_smt_dir, v.name),
+                         deadline, lambda text: _add_note(v, text))
         except (InconclusiveSolver, SolverSpawnFailure, TooManyCopies,
                 OSError) as err:
             _add_note(v, f"solver fallback: {err}")
-    qms = report.counted.get(v.name)
     if qms is None:
         try:
             qms = qms_exact(e_hat, cfg.domain, cfg.budget, cfg.jobs,

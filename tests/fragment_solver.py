@@ -4,6 +4,10 @@
 Not an SMT solver: it exhaustively enumerates the declared constants
 (a handful of short bit-vectors), evaluates every definition over the
 whole assignment space with numpy, and prints ``sat`` or ``unsat``.
+A ``get-value`` after ``sat`` prints the first satisfying assignment
+(in the order of the declarations' bits) as ``((name #b...) ...)``;
+after ``unsat`` it prints ``(error "model is not available")``, as z3
+does.
 Supports exactly the SMT-LIB subset the encoder produces: QF_BV plus
 the integer arithmetic of the "int" profile, zero-arity declare-fun,
 define-fun with and without parameters, let, ite, extract,
@@ -108,6 +112,7 @@ class Evaluator:
         self.free_bits = 0
         self.asserts = []
         self.bound = False   # free constants materialized yet?
+        self.hold = None     # where the assertions hold, after check-sat
 
     def declare(self, name, width):
         self.free.append((name, width, self.free_bits))
@@ -238,10 +243,26 @@ class Evaluator:
             self.asserts.append(self.eval(form[1], {})[1])
             return None
         if head == "check-sat":
+            if not self.bound and not self.bind_free():
+                raise _TooWide()
+            self.bound = True
             hold = np.ones(1 << self.free_bits, dtype=bool)
             for cond in self.asserts:
                 hold = hold & cond
+            self.hold = hold
             return "sat" if bool(np.any(hold)) else "unsat"
+        if head == "get-value":
+            if self.hold is None or not self.hold.any():
+                return '(error "model is not available")'
+            first = int(np.argmax(self.hold))
+            pairs = []
+            for name in form[1]:
+                width, values = self.eval(name, {})
+                if width is None:
+                    raise Unsupported(f"get-value of {name}")
+                value = int(np.broadcast_to(values, self.hold.shape)[first])
+                pairs.append(f"({name} #b{value:0{width}b})")
+            return f"({' '.join(pairs)})"
         raise Unsupported(f"command {head}")
 
 
@@ -249,17 +270,19 @@ class _TooWide(Exception):
     pass
 
 
-def decide(text: str) -> str:
+def decide(text: str) -> list[str]:
+    """The lines a solver prints for the script: one per check-sat or
+    get-value, or a lone ``unknown`` when the script is too wide."""
     ev = Evaluator()
-    answer = None
+    out = []
     for form in parse_all(tokenize(text)):
         try:
             result = ev.run_form(form)
         except _TooWide:
-            return "unknown"
+            return ["unknown"]
         if result is not None:
-            answer = result
-    return answer or "unknown"
+            out.append(result)
+    return out or ["unknown"]
 
 
 def main(argv):
@@ -268,7 +291,7 @@ def main(argv):
         return 2
     for path in argv:
         with open(path) as handle:
-            print(decide(handle.read()))
+            print("\n".join(decide(handle.read())))
     return 0
 
 

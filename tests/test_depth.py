@@ -64,7 +64,8 @@ def test_pipeline_runs_in_bounded_stack():
     assert [v.dist for v in checked.verdicts] == \
         [v.dist for v in report.verdicts]
     assert all(v.method != "inconclusive" for v in report.verdicts)
-    assert query.m == 4 and query.text.endswith("(check-sat)\n")
+    assert query.m == 4 and query.text.endswith(
+        "(check-sat)\n(get-value (k_k kk_k c))\n")
 
 
 def test_type_only_on_deep_chain_completes():

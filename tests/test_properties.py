@@ -54,6 +54,7 @@ from maskcheck import (
     simplify,
 )
 from maskcheck import expr as ex
+from conftest import replayed_gap
 from randprog import random_program
 
 FIXED = (ex.var("k", ex.SECRET), ex.var("k2", ex.SECRET),
@@ -315,5 +316,12 @@ FRAGMENT_SOLVER = \
 def test_solver_strength_matches_counting(case):
     e, d = case
     e_hat = simplify(e, d)
-    got = qms_smt(e_hat, d, FRAGMENT_SOLVER)
+    stats = {}
+    got = qms_smt(e_hat, d, FRAGMENT_SOLVER, stats=stats)
     assert got.fraction == qms_exact(e_hat, d).fraction, ex.pretty(e_hat)
+    assert stats["queries"] <= stats["m"] + 1, stats
+    # the fragment solver always gives a model: every gap is replayed
+    if got.num < got.den:
+        assert replayed_gap(e_hat, d, got.witness) == got.den - got.num
+    else:
+        assert got.witness is None

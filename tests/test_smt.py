@@ -1,11 +1,13 @@
 """SMT encoding, solver driving, and the binary-search strength procedure."""
 
-import stat
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from conftest import FRAGMENT_SOLVER, replayed_gap, stub_solver
 
 from maskcheck import (
     SAT,
@@ -38,14 +40,6 @@ D8 = make_domain(8)
 X3_N2 = binop("@", binop("@", R0, R0), binop("^", K, R0))
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def stub_solver(tmp_path, name, body):
-    """An executable shell script standing in for a solver binary."""
-    path = tmp_path / name
-    path.write_text(f"#!/bin/sh\n{body}\n")
-    path.chmod(path.stat().st_mode | stat.S_IXUSR)
-    return str(path)
 
 
 class TestEncode:
@@ -181,11 +175,49 @@ class TestCheckSat:
         check_sat(query, cmd, script_path=script)
         assert script.read_text() == query.text
 
+    def test_model_literals(self, tmp_path, query):
+        cmd = stub_solver(tmp_path, "model.sh", "cat <<'EOF'\nsat\n"
+                          "((k_k #b10)\n (kk_k #x1)\n (c (_ bv3 2)))\nEOF")
+        got = check_sat(query, cmd)
+        assert got.kind == SAT
+        assert got.model == {"k_k": 2, "kk_k": 1, "c": 3}
+
+    def test_sat_without_model(self, tmp_path, query):
+        cmd = stub_solver(tmp_path, "yes.sh", "echo sat")
+        assert check_sat(query, cmd).model is None
+
+    def test_unsat_ignores_the_model_error(self, tmp_path, query):
+        cmd = stub_solver(tmp_path, "no.sh", "echo unsat\n"
+                          "echo '(error \"model is not available\")'")
+        got = check_sat(query, cmd)
+        assert (got.kind, got.model) == (UNSAT, None)
+
     def test_solver_sees_the_script(self, tmp_path, query):
         cmd = stub_solver(tmp_path, "head.sh", 'head -c 200 "$1"')
         got = check_sat(query, cmd)
         assert got.kind == UNKNOWN
         assert got.reason.startswith("; masking-strength query")
+
+
+class TestFragmentSolver:
+    @pytest.mark.parametrize("e, q, profile", [
+        (X3_N2, 1, "bv"),
+        (X3_N2, Fraction(1, 2), "bv"),
+        (X3_N2, Fraction(1, 2), "int"),
+        (binop("|", binop("&", K, R0), P), Fraction(3, 4), "bv"),
+    ])
+    def test_model_satisfies_the_assertion(self, e, q, profile):
+        query = encode_psi(e, q, D2, profile)
+        got = check_sat(query, f"{sys.executable} {FRAGMENT_SOLVER}")
+        assert got.kind == SAT
+        names = {v.name: v.kind for v in ex.var_counts(e)
+                 if v.kind != ex.RANDOM}
+        s1 = {n: got.model[("p_" if kind == ex.PUBLIC else "k_") + n]
+              for n, kind in names.items()}
+        s2 = {n: got.model[("p_" if kind == ex.PUBLIC else "kk_") + n]
+              for n, kind in names.items()}
+        # the assertion: count1[c] - count2[c] > delta
+        assert replayed_gap(e, D2, (s1, s2, got.model["c"])) > query.delta
 
 
 class TestQmsSmt:
@@ -194,7 +226,10 @@ class TestQmsSmt:
                   binop("|", binop("&", K, R0), P)):
             got = qms_smt(e, D2, solver_cmd)
             assert got.fraction == qms_exact(e, D2).fraction, ex.pretty(e)
-            assert got.witness is None
+            if got.num == got.den:
+                assert got.witness is None
+            else:
+                assert replayed_gap(e, D2, got.witness) == got.den - got.num
 
     def test_frozen_values_and_query_counts(self, solver_cmd):
         stats = {}
@@ -202,11 +237,12 @@ class TestQmsSmt:
         assert (got.num, got.den) == (1, 4)
         assert stats == {"queries": 2, "m": 2}
 
-    def test_uniform_needs_m_plus_one_queries(self, solver_cmd):
+    def test_independent_needs_one_query(self, solver_cmd):
+        # the verdict question "gap > 0?" is unsat: nothing left to search
         stats = {}
         got = qms_smt(binop("^", K, R0), D2, solver_cmd, stats=stats)
-        assert (got.num, got.den) == (4, 4)
-        assert stats == {"queries": 3, "m": 2}
+        assert (got.num, got.den, got.witness) == (4, 4, None)
+        assert stats == {"queries": 1, "m": 2}
 
     def test_two_randoms(self, solver_cmd):
         stats = {}
@@ -223,9 +259,9 @@ class TestQmsSmt:
         out = tmp_path / "queries"
         qms_smt(X3_N2, D2, solver_cmd, emit_dir=out, var_name="x3")
         names = sorted(p.name for p in out.iterdir())
-        assert names == ["x3_q1_2.smt2", "x3_q1_4.smt2"]
-        assert (out / "x3_q1_2.smt2").read_text() == \
-            (GOLDEN / "x3_q1_2.smt2").read_text()
+        assert names == ["x3_q1_1.smt2", "x3_q1_4.smt2"]
+        for q, name in ((1, "x3_q1_1.smt2"), (Fraction(1, 4), "x3_q1_4.smt2")):
+            assert (out / name).read_text() == encode_psi(X3_N2, q, D2).text
 
     def test_always_sat_pins_zero(self, tmp_path):
         cmd = stub_solver(tmp_path, "yes.sh", "echo sat")
@@ -236,6 +272,16 @@ class TestQmsSmt:
         cmd = stub_solver(tmp_path, "no.sh", "echo unsat")
         got = qms_smt(binop("&", K, R0), D2, cmd)
         assert (got.num, got.den) == (4, 4)
+
+    @pytest.mark.parametrize("model", [
+        "((k_k #b01) (kk_k #b01) (c #b00))",    # equal fixings: no gap
+        "((c #b00))",                           # no fixings at all
+    ])
+    def test_model_that_does_not_replay_raises(self, tmp_path, model):
+        cmd = stub_solver(tmp_path, "liar.sh", f"echo sat\necho '{model}'")
+        with pytest.raises(InconclusiveSolver,
+                           match="^model does not realise the gap$"):
+            qms_smt(binop("&", K, R0), D2, cmd)
 
     def test_unknown_raises(self, tmp_path):
         cmd = stub_solver(tmp_path, "confused.sh", "echo flurble")

@@ -1,10 +1,13 @@
 """Whole-program verification: verdicts, strength, serialization."""
 
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from conftest import FRAGMENT_SOLVER, stub_solver
 
 from maskcheck import (
     ENGINES,
@@ -23,6 +26,7 @@ from maskcheck import (
     Report,
     VariableVerdict,
     corpus_dir,
+    distribution,
     make_domain,
     parse,
     pm_check,
@@ -34,7 +38,7 @@ from maskcheck import (
     var,
 )
 from maskcheck import expr as ex
-from maskcheck import verify
+from maskcheck import smt, verify
 
 D2 = make_domain(2)
 D4 = make_domain(4)
@@ -222,7 +226,11 @@ class TestSmtEngine:
             assert (a.name, a.dist) == (b.name, b.dist)
             if b.method == METHOD_COUNT_BF:
                 assert a.method == METHOD_COUNT_SMT
-                assert a.witness is None  # solver models are not parsed
+                # the sat model, replayed: its two fixings differ
+                s1, s2 = a.witness
+                e_hat = smt.reduced[a.name]
+                assert distribution(e_hat, s1, D2) != \
+                    distribution(e_hat, s2, D2)
             else:
                 assert a.method == b.method
 
@@ -253,6 +261,161 @@ class TestSmtEngine:
         assert by_name["x2"].dist is SDD
         assert by_name["x2"].note == \
             "solver fallback: solver answered unknown (unknown)"
+
+    @pytest.mark.parametrize("model", [
+        "((k_k #b01) (kk_k #b01) (c #b00))",    # equal fixings: no gap
+        "((kk_k #b01) (c #b00))",               # k_k is missing
+    ])
+    def test_model_that_does_not_replay_falls_back(self, cube, tmp_path,
+                                                   model):
+        cmd = stub_solver(tmp_path, "liar.sh", f"echo sat\necho '{model}'")
+        report = pm_check(cube, EngineConfig(D2, engine="smt",
+                                             solver_cmd=cmd))
+        x2 = next(v for v in report.verdicts if v.name == "x2")
+        assert (x2.dist, x2.method) == (SDD, METHOD_COUNT_BF)
+        assert x2.note == "solver fallback: model does not realise the gap"
+        assert x2.witness == ({"k": 0}, {"k": 1})
+
+    def test_sat_without_model_has_no_witness(self, cube, tmp_path):
+        cmd = stub_solver(tmp_path, "yes.sh", "echo sat")
+        report = pm_check(cube, EngineConfig(D2, engine="smt",
+                                             solver_cmd=cmd))
+        x2 = next(v for v in report.verdicts if v.name == "x2")
+        assert (x2.dist, x2.method, x2.witness, x2.note) == \
+            (SDD, METHOD_COUNT_SMT, None, None)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """(counted expression, stats) for each gap search verify starts."""
+    calls = []
+
+    class Logged(verify.GapSearch):
+        def __init__(self, e, *args, **kwargs):
+            stats = {}
+            calls.append((e, stats))
+            super().__init__(e, *args, stats=stats, **kwargs)
+
+    monkeypatch.setattr(verify, "GapSearch", Logged)
+    return calls
+
+
+def queries_by_name(report, calls):
+    """Solver queries per variable, the variable found by its e-hat."""
+    return {name: stats["queries"] for e, stats in calls
+            for name, e_hat in report.reduced.items() if e_hat is e}
+
+
+DEEP4 = parse("""
+fn Deep4(k: secret, r0: random, r1: random) {
+  v0 = k ^ r0;
+  v1 = v0 @ r1;
+  v2 = v1 ^ r0;
+  v3 = v2 @ r1;
+  v4 = v3 ^ r0;
+  return v4;
+}
+""")
+
+
+class TestSolverSearch:
+    """With the bundled fragment solver, whose models are its first
+    satisfying assignments, the query counts are fixed."""
+
+    CMD = f"{sys.executable} {FRAGMENT_SOLVER}"
+
+    @pytest.mark.parametrize("program, bits, want", [
+        ("cube", 2, {"x2": 2, "x3": 2}),
+        ("cube", 3, {"x2": 4, "x3": 4}),
+        ("deep4", 2, {"v2": 3, "v3": 3, "v4": 2}),
+    ])
+    def test_queries_per_variable(self, cube, searches, program, bits,
+                                  want):
+        p = cube if program == "cube" else DEEP4
+        cfg = EngineConfig(make_domain(bits), engine="smt",
+                           solver_cmd=self.CMD)
+        report = qms_compute(p, cfg)
+        assert queries_by_name(report, searches) == want
+        for v in report.verdicts:
+            if v.name in want:
+                assert v.method == METHOD_COUNT_SMT
+                assert v.qms is report.counted[v.name]
+                assert v.witness == v.qms.witness
+        searches.clear()
+        checked = pm_check(p, cfg)
+        assert queries_by_name(checked, searches) == dict.fromkeys(want, 1)
+
+    def test_first_model_realising_the_full_gap(self, searches):
+        # the first model, k_k=0 kk_k=1 c=0, replays to gap 4 = 2^m:
+        # the verdict's answer already ends the search, at QMS 0
+        p = parse("fn Full(k: secret, r0: random) { y = (k @ r0) | k; "
+                  "return y; }")
+        cfg = EngineConfig(D2, engine="smt", solver_cmd=self.CMD)
+        report = qms_compute(p, cfg)
+        y = report.verdicts[-1]
+        assert (y.dist, y.method, y.qms, y.note) == (
+            SDD, METHOD_COUNT_SMT, Qms(0, 4, ({"k": 0}, {"k": 1}, 0)), None)
+        assert y.witness == y.qms.witness
+        assert queries_by_name(report, searches)["y"] == 1
+
+    def test_search_after_the_verdict_has_its_own_deadline(
+            self, cube, monkeypatch):
+        # a solver that takes 0.6 s a query, on a simulated clock: one
+        # query fits in a 1 s deadline, two do not. x2 and x3 need two
+        # queries each, the verdict's and one more
+        offset = [0.0]
+        real_monotonic, real_check_sat = time.monotonic, smt.check_sat
+
+        def slow_check_sat(query, cmd, timeout=None, script_path=None):
+            offset[0] += 0.6
+            if timeout is not None and timeout < 0.6:
+                return smt.SolverVerdict(smt.UNKNOWN, "timeout")
+            return real_check_sat(query, cmd, timeout, script_path)
+
+        monkeypatch.setattr(time, "monotonic",
+                            lambda: real_monotonic() + offset[0])
+        monkeypatch.setattr(smt, "check_sat", slow_check_sat)
+        cfg = EngineConfig(D2, engine="smt", solver_cmd=self.CMD,
+                           var_timeout=1.0)
+        by_name = {v.name: v for v in qms_compute(cube, cfg).verdicts}
+        brute = {v.name: v for v in qms_compute(cube,
+                                                EngineConfig(D2)).verdicts}
+        for name in ("x2", "x3"):
+            v = by_name[name]
+            assert (v.method, v.note) == (METHOD_COUNT_SMT, None), name
+            assert v.qms.fraction == brute[name].qms.fraction, name
+
+    def test_emitted_scripts(self, cube, tmp_path):
+        # the verdict's script keeps its name, <var>_q1_1.smt2
+        for check, names in (
+                (pm_check, ["x2_q1_1.smt2", "x3_q1_1.smt2"]),
+                (qms_compute, ["x2_q1_1.smt2", "x2_q1_4.smt2",
+                               "x3_q1_1.smt2", "x3_q1_4.smt2"])):
+            out = tmp_path / check.__name__
+            check(cube, EngineConfig(D2, engine="smt", solver_cmd=self.CMD,
+                                     emit_smt_dir=out))
+            assert sorted(f.name for f in out.iterdir()) == names
+
+    def test_fallback_asks_the_solver_once(self, cube, tmp_path):
+        # 24 free bits at 8 bits: the fragment solver answers unknown;
+        # the stub logs the first line of every script it is given
+        log = tmp_path / "queries.log"
+        cmd = stub_solver(tmp_path, "logged.sh",
+                          f'head -n 1 "$1" >> {log}\nexec {self.CMD} "$1"')
+        cfg = EngineConfig(D8, engine="smt", solver_cmd=cmd)
+        report = qms_compute(cube, cfg)
+        by_name = {v.name: v for v in report.verdicts}
+        checked = {v.name: v for v in pm_check(cube, cfg).verdicts}
+        scripts = log.read_text().splitlines()
+        assert len(scripts) == 4  # x2 and x3, once in each report
+        for name in ("x2", "x3"):
+            v = by_name[name]
+            e_hat = pretty(report.reduced[name])
+            assert sum(e_hat in s for s in scripts) == 2, name
+            assert (v.method, v.qms.fraction) == \
+                (METHOD_COUNT_BF, Fraction(253, 256)), name
+            assert v.note.count("solver fallback") == 1, name
+            assert v.note == checked[name].note, name
 
 
 # y needs 2^24 solver copies and 2^32 evaluations at 8 bits
