@@ -80,6 +80,7 @@ from .infer import (
     UKD,
     DistType,
     Judgement,
+    RunMemo,
     at_most_sid,
     dominant_vars,
     infer,

@@ -29,6 +29,14 @@ results land in arrays indexed by row, so the outcome, witnesses
 included, is byte-identical at any number of workers. Work is bounded
 by an evaluation budget and an internal count-matrix cap; a cooperative
 deadline can abort between blocks.
+
+Given a run's memo (`infer.RunMemo`), a space of one block of at most
+_KEEP_CELLS cells keeps, in the memo's `blocks`, the values of the last
+expression evaluated on it, keyed by its layout: row and column names,
+fixed values, row and column range, and domain. The next expression on
+the same layout stops its evaluation at that node, so along a chain of
+variables `e_{i+1} = e_i op r` each block evaluates O(1) new nodes.
+Wider spaces keep nothing, so no held array exceeds _KEEP_CELLS cells.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from .errors import BudgetExceeded, UncoveredVariable, VariableTimeout
 DEFAULT_BUDGET = 1 << 28
 _MATRIX_CELL_CAP = 1 << 26
 _CHUNK_CELLS = 1 << 20
+_KEEP_CELLS = 1 << 16
 EFFECTIVE_BITS_BUDGET = 20
 
 
@@ -114,10 +123,14 @@ def _digits(index, names, d: DomainConfig) -> dict:
 
 
 class _Space:
-    """Assignments to `rows` x assignments to `cols`, `fixed` held constant."""
+    """Assignments to `rows` x assignments to `cols`, `fixed` held constant.
+
+    `kept`, a run memo's `blocks`, keeps the space's values for the next
+    expression when the space is one block of at most _KEEP_CELLS cells.
+    """
 
     def __init__(self, d: DomainConfig, rows: list[str], cols: list[str],
-                 fixed: dict[str, int], budget: int):
+                 fixed: dict[str, int], budget: int, kept: dict | None = None):
         self.d = d
         self.rows = rows
         self.cols = cols
@@ -129,6 +142,8 @@ class _Space:
             raise BudgetExceeded(
                 f"{self.S} sigma x {self.F} random assignments exceed "
                 f"the budget of {budget} evaluations")
+        cells = self.S * self.F
+        self.kept = kept if cells <= min(_KEEP_CELLS, _CHUNK_CELLS) else None
 
     def blocks(self, e: ex.Expr, lo: int, hi: int, deadline=None):
         """Values of e on rows [lo, hi) as (first row, first column, block).
@@ -146,14 +161,23 @@ class _Space:
                 _check_deadline(deadline)
                 # the column values die with this call, not at the next
                 # block, so they add nothing to what the consumer holds
-                values = ex.eval_vec(e, {
-                    **self.fixed, **row_env,
-                    **_digits(np.arange(f0, f1, dtype=np.uint64)[None, :],
-                              self.cols, self.d)}, self.d)
+                env = {**self.fixed, **row_env,
+                       **_digits(np.arange(f0, f1, dtype=np.uint64)[None, :],
+                                 self.cols, self.d)}
+                if self.kept is None:
+                    values = ex.eval_vec(e, env, self.d)
+                else:
+                    layout = (tuple(self.rows), tuple(self.cols),
+                              tuple(self.fixed.items()), r0, r1, f0, f1,
+                              self.d)
+                    values = ex.eval_vec(e, env, self.d,
+                                         self.kept.get(layout))
+                    self.kept[layout] = {e: values}
+                del env
                 yield r0, f0, np.broadcast_to(values, (r1 - r0, f1 - f0))
 
 
-def _sigma_space(e: ex.Expr, d: DomainConfig, budget: int):
+def _sigma_space(e: ex.Expr, d: DomainConfig, budget: int, memo=None):
     """Every secret and public of e indexes sigma, every random a column.
 
     Returns the space and the sigma-index bits that hold the publics.
@@ -164,7 +188,11 @@ def _sigma_space(e: ex.Expr, d: DomainConfig, budget: int):
     publics = {v.name for v in leaves if v.kind == ex.PUBLIC}
     public_mask = sum(d.mask << d.bits * (len(rows) - 1 - i)
                       for i, name in enumerate(rows) if name in publics)
-    return _Space(d, rows, cols, {}, budget), public_mask
+    return _Space(d, rows, cols, {}, budget, _kept(memo)), public_mask
+
+
+def _kept(memo) -> dict | None:
+    return None if memo is None else memo.blocks
 
 
 def _counts_matrix(e, d, space, jobs, deadline):
@@ -221,17 +249,18 @@ def distribution(e: ex.Expr, sigma: dict[str, int], d: DomainConfig,
     return CountVector(counts, space.F)
 
 
-def effective_variables(e: ex.Expr, d: DomainConfig) -> set[str]:
+def effective_variables(e: ex.Expr, d: DomainConfig,
+                        memo=None) -> set[str]:
     """Names of the variables that can change the value of e.
 
     One evaluation of e on every assignment, each variable a row, while
     they fit in EFFECTIVE_BITS_BUDGET bits; beyond that, conservatively,
-    every name.
+    every name. A run's memo keeps the values of small grids.
     """
     names = sorted(ex.variables(e))
     if d.bits * len(names) > EFFECTIVE_BITS_BUDGET:
         return set(names)
-    space = _Space(d, names, [], {}, 1 << EFFECTIVE_BITS_BUDGET)
+    space = _Space(d, names, [], {}, 1 << EFFECTIVE_BITS_BUDGET, _kept(memo))
     grid = _counts_matrix(e, d, space, 1, None).reshape(
         (d.size,) * len(names))
     return {x for i, x in enumerate(names)
@@ -263,14 +292,15 @@ def _group_spans(space, public_mask):
 
 
 def check_si(e: ex.Expr, d: DomainConfig, budget: int = DEFAULT_BUDGET,
-             jobs: int = 1, deadline: float | None = None
+             jobs: int = 1, deadline: float | None = None, memo=None
              ) -> tuple[bool, tuple[dict, dict] | None]:
     """Secret independence: same distribution across each public group.
 
     Returns (True, None) or (False, (sigma1, sigma2)) with the
-    lexicographically smallest differing pair.
+    lexicographically smallest differing pair. A run's memo keeps the
+    values of small spaces.
     """
-    space, public_mask = _sigma_space(e, d, budget)
+    space, public_mask = _sigma_space(e, d, budget, memo)
     matrix = _counts_matrix(e, d, space, jobs, deadline)
     for members in _group_spans(space, public_mask):
         block = matrix[members]
@@ -287,9 +317,11 @@ def check_si(e: ex.Expr, d: DomainConfig, budget: int = DEFAULT_BUDGET,
 
 
 def qms_exact(e: ex.Expr, d: DomainConfig, budget: int = DEFAULT_BUDGET,
-              jobs: int = 1, deadline: float | None = None) -> Qms:
-    """Exact quantitative masking strength of e."""
-    space, public_mask = _sigma_space(e, d, budget)
+              jobs: int = 1, deadline: float | None = None,
+              memo=None) -> Qms:
+    """Exact quantitative masking strength of e; a run's memo keeps the
+    values of small spaces."""
+    space, public_mask = _sigma_space(e, d, budget, memo)
     matrix = _counts_matrix(e, d, space, jobs, deadline)
     den = space.F
     groups = _group_spans(space, public_mask)

@@ -20,6 +20,7 @@ the expanded tree.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import groupby
 
 import numpy as np
 
@@ -235,9 +236,16 @@ def replace(e: Expr, t: Expr, s: Expr) -> Expr:
 
 
 def subterms(e: Expr) -> list[Expr]:
-    """Distinct subterms of e, innermost first (size, then print order)."""
-    out = postorder(e)
-    out.sort(key=lambda t: (size(t), pretty(t)))
+    """Distinct subterms of e, innermost first (size, then print order).
+
+    Only subterms of equal size are printed to be ordered: both sorts
+    are stable, so the order is that of the key (size, pretty), but a
+    chain, whose subterms all differ in size, prints none of them.
+    """
+    out: list[Expr] = []
+    for _, run in groupby(sorted(postorder(e), key=size), key=size):
+        run = list(run)
+        out += sorted(run, key=pretty) if len(run) > 1 else run
     return out
 
 
@@ -292,21 +300,26 @@ _VEC_OPS = {"^": np.bitwise_xor, "&": np.bitwise_and, "|": np.bitwise_or,
 _WRAPPING_OPS = ("+", "-", "*")
 
 
-def eval_vec(e: Expr, env: dict[str, np.ndarray], d: DomainConfig) -> np.ndarray:
+def eval_vec(e: Expr, env: dict[str, np.ndarray], d: DomainConfig,
+             kept: dict[Expr, np.ndarray] | None = None) -> np.ndarray:
     """Evaluate elementwise over numpy uint32 arrays (broadcasting allowed).
 
     Each intermediate array is dropped after its last use, so the live
     set stays near the widest cut of the expression, not its size.
-    Wraparound of +, - and * is the intended modular semantics, so the
-    numpy overflow warning (emitted only for scalar operands) is off.
+    `kept` gives the values of some nodes on this same env: the walk
+    stops at them. Wraparound of +, - and * is the intended modular
+    semantics, so the numpy overflow warning (emitted only for scalar
+    operands) is off.
     """
     mask = np.uint32(d.mask)
-    order = postorder(e)
+    kept = kept or {}
+    order = postorder(e, kept.__contains__ if kept else None)
     slots: dict[Expr, list] = {}    # node -> [value, uses still to come]
     for node in order:
         slots[node] = [None, 0]
-        for c in children(node):
-            slots[c][1] += 1
+        if node not in kept:
+            for c in children(node):
+                slots[c][1] += 1
 
     def take(node):
         slot = slots[node]
@@ -318,7 +331,9 @@ def eval_vec(e: Expr, env: dict[str, np.ndarray], d: DomainConfig) -> np.ndarray
 
     with np.errstate(over="ignore"):
         for node in order:
-            if isinstance(node, Const):
+            if node in kept:
+                got = kept[node]
+            elif isinstance(node, Const):
                 got = np.uint32(node.value & d.mask)
             elif isinstance(node, Var):
                 got = env[node.name]

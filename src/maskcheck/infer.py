@@ -24,6 +24,14 @@ Inference walks an explicit stack and stays lazy: the rules that need
 nothing from the children (dominant, no-secret, secret, self-cancel)
 run first, and only a node they leave undecided has its children typed
 before the combining rules run on it.
+
+Judgements and dominance are memoised in a RunMemo. A direct call gets
+a fresh one, so it derives its expression from the leaves; the verifier
+passes one memo to every call of a run, so each node is judged and its
+dominance found once per program, not once per variable. A judgement
+whose derivation never reached the store never changes. One that did
+is dropped, with every judgement derived from it, when the verifier
+writes a store entry for its node (`RunMemo.forget`).
 """
 
 from __future__ import annotations
@@ -90,30 +98,98 @@ def _opaque(node: ex.Expr, d: DomainConfig | None) -> bool:
     return False    # complement, and leaves
 
 
-def dominant_vars(e: ex.Expr, d: DomainConfig | None = None) -> set[str]:
+class RunMemo:
+    """What one verification run shares across its variables, over one
+    domain (None: constants unmasked).
+
+    `pm_check` and `qms_compute` create one, pass it to every infer,
+    simplify and counting call of the run and drop it on return. Every
+    entry is exact whatever order the calls come in:
+
+    * judged - each node's judgement. `links` lists every node whose
+      judgement reached the store, directly or through a child, with
+      the nodes whose judgements were derived from it.
+    * reach - per node, the randoms reachable through bijective steps,
+      as a bitmask; `bits` gives each random name its bit.
+    * blocks - counting's kept block values: per block layout, the
+      last expression evaluated there and its values.
+    """
+
+    def __init__(self, d: DomainConfig | None = None):
+        self.d = d
+        self.judged: dict[ex.Expr, Judgement] = {}
+        self.links: dict[ex.Expr, list[ex.Expr]] = {}
+        self.reach: dict[ex.Expr, int] = {}
+        self.bits: dict[str, int] = {}
+        self.blocks: dict = {}
+
+    def forget(self, node: ex.Expr) -> None:
+        """A store entry for node was written: drop its judgement and,
+        transitively, every judgement derived from it."""
+        stack = [node]
+        while stack:
+            node = stack.pop()
+            self.judged.pop(node, None)
+            stack.extend(self.links.pop(node, ()))
+
+
+def _run_memo(memo: RunMemo | None, d: DomainConfig | None) -> RunMemo:
+    """memo, or a fresh one for a single call; it must be over d."""
+    if memo is None:
+        return RunMemo(d)
+    if memo.d != d:
+        raise ValueError(f"memo is over {memo.d}, not {d}")
+    return memo
+
+
+def _reach(e: ex.Expr, d: DomainConfig | None, memo: RunMemo) -> int:
+    """Bitmask of the randoms reachable from e through bijective steps."""
+    reach = memo.reach
+    got = reach.get(e)
+    if got is None:
+        for node in ex.postorder(e, lambda n: n in reach or _opaque(n, d)):
+            if node in reach:
+                continue
+            got = 0
+            if isinstance(node, ex.Var) and node.kind == ex.RANDOM:
+                got = memo.bits.setdefault(node.name, 1 << len(memo.bits))
+            elif not _opaque(node, d):
+                for c in ex.children(node):
+                    got |= reach[c]
+            reach[node] = got
+    return got
+
+
+def _dominant(e: ex.Expr, d: DomainConfig | None, memo: RunMemo) -> set[str]:
+    once = [v.name for v, k in ex.var_counts(e).items()
+            if v.kind == ex.RANDOM and k == 1]
+    if not once:
+        return set()
+    reach = _reach(e, d, memo)
+    return {name for name in once if reach & memo.bits.get(name, 0)}
+
+
+def dominant_vars(e: ex.Expr, d: DomainConfig | None = None,
+                  memo: RunMemo | None = None) -> set[str]:
     """Random variables that occur once and dominate the expression.
 
     Passing the domain lets constant siblings be judged by their masked
     value (a literal like 256 is 0 in an 8-bit word and must not count
-    as invertible).
+    as invertible). A run's memo, over the same domain, keeps what is
+    reachable from each node for every later call.
     """
-    counts = ex.var_counts(e)
-    once = {v.name for v, k in counts.items() if v.kind == ex.RANDOM and k == 1}
-    if not once:
-        return set()
-    return once & {node.name for node in
-                   ex.postorder(e, lambda node: _opaque(node, d))
-                   if isinstance(node, ex.Var)}
+    return _dominant(e, d, _run_memo(memo, d))
 
 
 def _is_secret(node: ex.Expr) -> bool:
     return isinstance(node, ex.Var) and node.kind == ex.SECRET
 
 
-def _closed(node: ex.Expr, d: DomainConfig | None) -> Judgement | None:
+def _closed(node: ex.Expr, d: DomainConfig | None,
+            memo: RunMemo) -> Judgement | None:
     """The rules that decide a node without typing its children."""
     # dominant random variable: uniform outright
-    if dominant_vars(node, d):
+    if _dominant(node, d, memo):
         return Judgement(node, RUD, ("dominant",))
     # no secret anywhere: the distribution cannot depend on one
     if not any(v.kind == ex.SECRET for v in ex.var_counts(node)):
@@ -128,8 +204,9 @@ def _closed(node: ex.Expr, d: DomainConfig | None) -> Judgement | None:
 
 
 def _combined(node: ex.Expr, d: DomainConfig | None,
-              judged: dict[ex.Expr, Judgement]) -> Judgement | None:
+              memo: RunMemo) -> Judgement | None:
     """The rules that decide a node from its children's judgements."""
+    judged = memo.judged
     if isinstance(node, ex.Unary):
         # complement is a bijection on values: type carries over
         sub = judged[node.operand]
@@ -148,9 +225,9 @@ def _combined(node: ex.Expr, d: DomainConfig | None,
     both = lj.rule_trace + rj.rule_trace
     # uniform x uniform with a fresh dominant on one side
     if op in _PRODUCT_OPS and lj.dist is RUD and rj.dist is RUD:
-        if dominant_vars(left, d) - ex.rvars(right):
+        if _dominant(left, d, memo) - ex.rvars(right):
             return Judgement(node, SID, both + ("masked-product",))
-        if dominant_vars(right, d) - ex.rvars(left):
+        if _dominant(right, d, memo) - ex.rvars(left):
             return Judgement(node, SID, both + ("masked-product", "commute"))
 
     # independent secret-independent operands
@@ -163,46 +240,52 @@ def _combined(node: ex.Expr, d: DomainConfig | None,
     # distribution; other dependent operands may never take those values
     if op in _PRODUCT_OPS:
         if _is_secret(left) and rj.dist is RUD and \
-                dominant_vars(right, d) - ex.rvars(left):
+                _dominant(right, d, memo) - ex.rvars(left):
             return Judgement(node, SDD, both + ("tainted-product",))
         if _is_secret(right) and lj.dist is RUD and \
-                dominant_vars(left, d) - ex.rvars(right):
+                _dominant(left, d, memo) - ex.rvars(right):
             return Judgement(node, SDD,
                              both + ("tainted-product", "commute"))
     return None
 
 
-_UNSEEN = object()
-
-
 def infer(e: ex.Expr, d: DomainConfig | None = None,
-          store: dict[ex.Expr, DistType] | None = None) -> Judgement:
+          store: dict[ex.Expr, DistType] | None = None,
+          memo: RunMemo | None = None) -> Judgement:
     """Assign a distribution type by the rule system.
 
     `store` maps already-resolved expressions to their types; it is
-    consulted only where the rules would otherwise answer UKD.
+    consulted only where the rules would otherwise answer UKD. A run's
+    memo keeps every judgement for the later calls of the run, which
+    must pass the same store and call `memo.forget` for each entry
+    written to it.
     """
-    # None marks a node whose closed rules failed and whose children
-    # are being typed; it is taken up again once they are
-    judged: dict[ex.Expr, Judgement | None] = {}
+    memo = _run_memo(memo, d)
+    judged, links = memo.judged, memo.links
+    opened = set()      # closed rules failed, children being typed
     stack = [e]
     while stack:
         node = stack.pop()
-        got = judged.get(node, _UNSEEN)
-        if got is _UNSEEN:
-            got = _closed(node, d)
+        if node in judged:
+            continue
+        if node not in opened:
+            got = _closed(node, d, memo)
             if got is None:
-                judged[node] = None
+                opened.add(node)
                 stack.append(node)
                 stack.extend(ex.children(node))
                 continue
-        elif got is None:
-            got = _combined(node, d, judged)
+        else:
+            got = _combined(node, d, memo)
+            unsettled = {c for c in ex.children(node) if c in links}
             if got is None:
                 known = store.get(node, UKD) if store else UKD
                 got = Judgement(node, known, ("unknown",) if known is UKD
                                 else ("recalled",))
-        else:
-            continue
+                links[node] = []
+            elif unsettled:
+                links[node] = []
+            for c in unsettled:
+                links[c].append(node)
         judged[node] = got
     return judged[e]

@@ -100,6 +100,7 @@ class Program:
 
 _SYMBOLS = ("<<", ">>", "^", "&", "|", "+", "-", "*", "@", "~",
             "(", ")", "{", "}", ",", ";", ":", "=")
+_SINGLE_SYMBOLS = "".join(s for s in _SYMBOLS if len(s) == 1)
 
 
 @dataclass
@@ -159,7 +160,7 @@ def _tokenize(text: str) -> list[_Token]:
             i += 2
             col += 2
             continue
-        if ch in "".join(s for s in _SYMBOLS if len(s) == 1):
+        if ch in _SINGLE_SYMBOLS:
             toks.append(_Token("sym", ch, line, col))
             i += 1
             col += 1

@@ -36,17 +36,18 @@ from .counting import _digits, distribution, effective_variables
 from .counting import is_effective  # noqa: F401  re-exported
 from .domain import DomainConfig
 from .errors import OracleUnsound
-from .infer import dominant_vars
+from .infer import RunMemo, dominant_vars
 from .program import _Parser, _tokenize
 
 
-def eliminate_ineffective(e: ex.Expr, d: DomainConfig) -> ex.Expr:
+def eliminate_ineffective(e: ex.Expr, d: DomainConfig,
+                          memo: RunMemo | None = None) -> ex.Expr:
     """Replace every ineffective variable of e by the constant 0.
 
     One enumeration decides them all: zeroing one leaves the value of e,
     and so the answer for every other variable, as it was.
     """
-    effective = effective_variables(e, d)
+    effective = effective_variables(e, d, memo)
     for leaf in ex.var_leaves(e):
         if leaf.name not in effective:
             e = ex.replace(e, leaf, ex.ZERO)
@@ -117,11 +118,15 @@ def _rewrite_innermost(e: ex.Expr, rewrite) -> ex.Expr:
             return e
 
 
-def eliminate_dominated(e: ex.Expr, d: DomainConfig) -> ex.Expr:
+def eliminate_dominated(e: ex.Expr, d: DomainConfig,
+                        memo: RunMemo | None = None) -> ex.Expr:
     """Collapse r-dominated subexpressions to r when r occurs nowhere else."""
+    if memo is None:
+        memo = RunMemo(d)   # shared by this call's dominance questions
+
     def collapse(e, t):
         if not isinstance(t, (ex.Var, ex.Const)):
-            for r_name in sorted(dominant_vars(t, d)):
+            for r_name in sorted(dominant_vars(t, d, memo)):
                 if _exclusive_to(e, t, r_name):
                     return ex.var(r_name, ex.RANDOM)
         return None
@@ -244,14 +249,19 @@ def apply_meta_theorems(e: ex.Expr, d: DomainConfig,
     return _rewrite_innermost(e, first_match)
 
 
-def simplify(e: ex.Expr, d: DomainConfig, patterns=None) -> ex.Expr:
-    """Run the four reduction passes to a global fixpoint."""
+def simplify(e: ex.Expr, d: DomainConfig, patterns=None,
+             memo: RunMemo | None = None) -> ex.Expr:
+    """Run the four reduction passes to a global fixpoint.
+
+    A run's memo (`infer.RunMemo`) shares dominance and the values of
+    small enumeration grids with the rest of the run.
+    """
     prev = None
     while e is not prev:
         prev = e
-        e = eliminate_ineffective(e, d)
+        e = eliminate_ineffective(e, d, memo)
         e = apply_algebraic_laws(e)
-        e = eliminate_dominated(e, d)
+        e = eliminate_dominated(e, d, memo)
         e = apply_meta_theorems(e, d, patterns)
     return e
 

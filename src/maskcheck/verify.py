@@ -11,6 +11,10 @@ For every internal variable x, in SSA order:
    sigma2) witness. Results are stored against Expr(x) so that later
    variables containing it can reuse the verdict.
 
+Every stage of every variable shares one RunMemo, created per call and
+dropped on return; each store write tells it to drop the judgements
+derived without that entry.
+
 When the strength is wanted too (qms_compute), step 4 enumerates with
 qms_exact instead of check_si, or runs the solver's gap search to the
 end, of which the verdict question is the first step; the strength
@@ -45,7 +49,7 @@ from .errors import (
     TooManyCopies,
     VariableTimeout,
 )
-from .infer import SDD, SID, UKD, DistType, infer
+from .infer import SDD, SID, UKD, DistType, RunMemo, infer
 from .program import Program, expr_of
 from .reduction import apply_oracle, simplify
 from .smt import GapSearch, emit_query, encode_psi
@@ -158,7 +162,7 @@ def _solve(search: GapSearch, deadline: float | None, note,
 
 def _count_decide(x: str, e_hat: ex.Expr, cfg: EngineConfig,
                   deadline: float | None, notes: list[str],
-                  counted: dict[str, Qms] | None):
+                  counted: dict[str, Qms] | None, memo: RunMemo):
     """SID/SDD by model counting. Returns (dist, method, witness).
 
     Why the solver or the emitted script was skipped goes to notes.
@@ -196,24 +200,33 @@ def _count_decide(x: str, e_hat: ex.Expr, cfg: EngineConfig,
             notes.append(f"smt emission skipped: {err}")
     if counted is None:
         si, witness = check_si(e_hat, cfg.domain, cfg.budget, cfg.jobs,
-                               deadline)
+                               deadline, memo)
     else:
         qms = counted[x] = qms_exact(e_hat, cfg.domain, cfg.budget,
-                                     cfg.jobs, deadline)
+                                     cfg.jobs, deadline, memo)
         si = qms.num == qms.den
         witness = None if si else qms.witness[:2]
     return (SID if si else SDD), METHOD_COUNT_BF, witness
 
 
+def _remember(store: dict[ex.Expr, DistType], memo: RunMemo,
+              dist: DistType, *nodes: ex.Expr) -> None:
+    """Store dist for nodes; the memo drops what it derived without it."""
+    for node in nodes:
+        store[node] = dist
+        memo.forget(node)
+
+
 def _classify(p: Program, x: str, cfg: EngineConfig,
-              store: dict[ex.Expr, DistType], hats: dict[str, ex.Expr],
+              store: dict[ex.Expr, DistType], memo: RunMemo,
+              hats: dict[str, ex.Expr],
               counted: dict[str, Qms] | None) -> VariableVerdict:
     started = time.monotonic()
     deadline = _deadline(cfg)
     notes: list[str] = []
     e = expr_of(p, x)
     try:
-        j = infer(e, cfg.domain, store)
+        j = infer(e, cfg.domain, store, memo)
         if j.dist is not UKD:
             return VariableVerdict(x, j.dist, METHOD_TYPE, j.rule_trace,
                                    elapsed=time.monotonic() - started)
@@ -223,29 +236,27 @@ def _classify(p: Program, x: str, cfg: EngineConfig,
                 note="potentially leaky: counting disabled",
                 elapsed=time.monotonic() - started)
 
-        e_hat = simplify(e, cfg.domain, cfg.meta_patterns)
+        e_hat = simplify(e, cfg.domain, cfg.meta_patterns, memo)
         hats[x] = e_hat
-        j_hat = infer(e_hat, cfg.domain, store)
+        j_hat = infer(e_hat, cfg.domain, store, memo)
         if j_hat.dist is not UKD:
-            store[e] = j_hat.dist
+            _remember(store, memo, j_hat.dist, e)
             return VariableVerdict(x, j_hat.dist, METHOD_REDUCED,
                                    j_hat.rule_trace,
                                    elapsed=time.monotonic() - started)
 
         rewritten = apply_oracle(e_hat, cfg.domain, cfg.oracles)
         if rewritten is not None:
-            j_oracle = infer(rewritten, cfg.domain, store)
+            j_oracle = infer(rewritten, cfg.domain, store, memo)
             if j_oracle.dist is not UKD:
-                store[e] = j_oracle.dist
-                store[e_hat] = j_oracle.dist
+                _remember(store, memo, j_oracle.dist, e, e_hat)
                 return VariableVerdict(x, j_oracle.dist, METHOD_ORACLE,
                                        j_oracle.rule_trace,
                                        elapsed=time.monotonic() - started)
 
         dist, method, witness = _count_decide(x, e_hat, cfg, deadline, notes,
-                                              counted)
-        store[e] = dist
-        store[e_hat] = dist
+                                              counted, memo)
+        _remember(store, memo, dist, e, e_hat)
         return VariableVerdict(x, dist, method, ("counted",), witness=witness,
                                note="; ".join(notes) or None,
                                elapsed=time.monotonic() - started)
@@ -259,17 +270,24 @@ def _classify(p: Program, x: str, cfg: EngineConfig,
 
 def _walk(p: Program, cfg: EngineConfig, strength: bool) -> Report:
     """Classify every internal variable; with `strength`, counting keeps
-    the Qms of each variable it enumerates in Report.counted."""
+    the Qms of each variable it enumerates in Report.counted, and every
+    variable then gets its strength. One RunMemo serves the whole walk
+    and is dropped on return."""
     started = time.monotonic()
     store: dict[ex.Expr, DistType] = {}
+    memo = RunMemo(cfg.domain)
     hats: dict[str, ex.Expr] = {}
     counted: dict[str, Qms] = {}
-    verdicts = [_classify(p, x, cfg, store, hats,
+    verdicts = [_classify(p, x, cfg, store, memo, hats,
                           counted if strength else None)
                 for x in p.internals]
-    return Report(p.name, cfg.domain.bits, cfg.domain.poly, verdicts,
-                  elapsed=time.monotonic() - started, reduced=hats,
-                  counted=counted)
+    report = Report(p.name, cfg.domain.bits, cfg.domain.poly, verdicts,
+                    elapsed=time.monotonic() - started, reduced=hats,
+                    counted=counted)
+    if strength:
+        for v in verdicts:
+            _strength(p, v, cfg, report, memo)
+    return report
 
 
 def pm_check(p: Program, cfg: EngineConfig) -> Report:
@@ -278,11 +296,12 @@ def pm_check(p: Program, cfg: EngineConfig) -> Report:
 
 
 def _strength(p: Program, v: VariableVerdict, cfg: EngineConfig,
-              report: Report) -> None:
+              report: Report, memo: RunMemo) -> None:
     deadline = _deadline(cfg)
     e_hat = report.reduced.get(v.name)
     if e_hat is None:
-        e_hat = simplify(expr_of(p, v.name), cfg.domain, cfg.meta_patterns)
+        e_hat = simplify(expr_of(p, v.name), cfg.domain, cfg.meta_patterns,
+                         memo)
         report.reduced[v.name] = e_hat
     den = cfg.domain.size ** len(ex.rvars(e_hat))
     if v.dist in (DistType.RUD, DistType.SID):
@@ -307,7 +326,7 @@ def _strength(p: Program, v: VariableVerdict, cfg: EngineConfig,
     if qms is None:
         try:
             qms = qms_exact(e_hat, cfg.domain, cfg.budget, cfg.jobs,
-                            deadline)
+                            deadline, memo)
         except (BudgetExceeded, VariableTimeout) as err:
             _add_note(v, f"{type(err).__name__}: {err}")
             return
@@ -322,8 +341,6 @@ def qms_compute(p: Program, cfg: EngineConfig) -> Report:
         raise ValueError("strength computation needs a counting engine")
     started = time.monotonic()
     report = _walk(p, cfg, strength=True)
-    for v in report.verdicts:
-        _strength(p, v, cfg, report)
     strengths = [v.qms.fraction for v in report.verdicts if v.qms is not None]
     if strengths:
         worst = min(strengths)

@@ -3,8 +3,10 @@ expressions, and no stage may recurse on that depth or keep dead
 intermediate arrays alive."""
 
 import gc
+import importlib
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +26,10 @@ from maskcheck import (
     parse,
     pm_check,
     qms_compute,
+    subterms,
     var,
 )
+from maskcheck import expr as ex
 from maskcheck.domain import gf_table
 from maskcheck.program import MAX_NESTING
 
@@ -73,6 +77,38 @@ def test_type_only_on_deep_chain_completes():
     report = pm_check(p, EngineConfig(make_domain(4), engine="type-only"))
     assert len(report.verdicts) == 2001
     assert report.verdicts[0].dist is RUD
+
+
+def test_chain_costs_grow_linearly():
+    # one run shares judgements and kept block values across variables:
+    # doubling a chain about doubles the closed-rule evaluations and the
+    # GF(2^n) products, where re-deriving every variable from the leaves
+    # quadruples them
+    rules = importlib.import_module("maskcheck.infer")
+    costs = {}
+    for n in (100, 200):
+        p = parse(deep_chain(n))
+        with mock.patch.object(rules, "_closed",
+                               wraps=rules._closed) as closed, \
+                mock.patch.object(ex, "gf_mul_vec",
+                                  wraps=ex.gf_mul_vec) as mul:
+            pm_check(p, EngineConfig(make_domain(4)))
+        costs[n] = closed.call_count, mul.call_count
+    assert costs[200][0] <= 2.5 * costs[100][0], costs
+    assert costs[200][1] <= 2.5 * costs[100][1], costs
+
+
+def test_subterms_prints_a_chain_in_linear_space():
+    n = 5000
+    e = var("lin_k", SECRET)
+    for i in range(n):
+        e = binop("@" if i % 2 else "^", e,
+                  var(f"lin_r{i % 2}", RANDOM))
+    before = sum(map(len, ex._PRETTY.values()))
+    out = subterms(e)
+    added = sum(map(len, ex._PRETTY.values())) - before
+    assert len(out) == n + 3 and out[-1] is e
+    assert added <= 20 * n
 
 
 def test_flat_statement_splits_without_recursion():

@@ -1,12 +1,17 @@
 """Distribution-type inference: rule priorities, traces, whole programs."""
 
+from unittest import mock
+
 import pytest
 
 from maskcheck import (
+    METHOD_REDUCED,
     RUD,
     SDD,
     SID,
     UKD,
+    EngineConfig,
+    RunMemo,
     at_most_sid,
     binop,
     const,
@@ -17,9 +22,11 @@ from maskcheck import (
     make_domain,
     neg,
     parse,
+    pm_check,
     var,
 )
 from maskcheck import expr as ex
+from maskcheck import verify
 
 K = var("k", ex.SECRET)
 K2 = var("k2", ex.SECRET)
@@ -364,3 +371,61 @@ class TestPrograms:
         }
         for name, dist in expected.items():
             assert infer(expr_of(p, name), D8).dist is dist, name
+
+
+# J = (k & r0) ^ (r0 & r1) is secret independent, but the rules leave it
+# UKD. It first appears inside a's reduced expansion ((J ^ p) & r2), where
+# J ^ p is judged UKD too and not stored; c's expansion then reduces to
+# J, which is stored as counted. g reduces to (J ^ p) & r3, which the
+# rules close only if J ^ p is judged again with J recalled.
+STALE = parse("""
+fn Stale(k: secret, r0: random, r1: random, r2: random, r3: random,
+         p: public, q: public, s: public) {
+  a1 = k & r0;
+  a2 = r0 & r1;
+  kq = k & q;
+  b = a2 ^ kq;
+  j = a1 ^ b;
+  m = j ^ p;
+  w = m & r2;
+  v = kq & r2;
+  a = w ^ v;
+  t = s & 0;
+  a4 = a2 ^ t;
+  c = a1 ^ a4;
+  w3 = m & r3;
+  v3 = kq & r3;
+  g = w3 ^ v3;
+  return g;
+}
+""")
+
+
+class TestRunMemo:
+    def test_store_entry_below_a_kept_judgement(self):
+        d = make_domain(2)
+        shared = pm_check(STALE, EngineConfig(d))
+        fresh_infer = infer
+        with mock.patch.object(verify, "infer",
+                               lambda e, d, store, memo:
+                               fresh_infer(e, d, store)):
+            fresh = pm_check(STALE, EngineConfig(d))
+        assert [(v.name, v.dist, v.method, v.rule_trace)
+                for v in shared.verdicts] == \
+            [(v.name, v.dist, v.method, v.rule_trace)
+             for v in fresh.verdicts]
+        g = shared.verdicts[-1]
+        assert (g.name, g.dist, g.method) == ("g", SID, METHOD_REDUCED)
+        assert g.rule_trace == ("recalled", "no-secret", "independent-op",
+                                "dominant", "independent-op")
+
+    def test_memo_is_over_one_domain(self):
+        # 256 is 0 in an 8-bit word, so r0 dominates only without a domain
+        e = binop("@", R0, const(256))
+        memo = RunMemo(D8)
+        assert dominant_vars(e, D8, memo) == set()
+        assert dominant_vars(e, None, RunMemo()) == {"r0"}
+        with pytest.raises(ValueError, match="memo is over"):
+            dominant_vars(e, None, memo)
+        with pytest.raises(ValueError, match="memo is over"):
+            infer(e, make_domain(4), memo=memo)

@@ -14,6 +14,10 @@ come in column slices.
 The differential properties check that every reduction pass, and
 `simplify`, keeps the strength and the secret-independence answer of
 counting, and that the type rules never contradict counting.
+
+The run-memo properties check that sharing one `RunMemo` across calls
+changes no answer: judgements as the store grows, and kept block values
+as the expressions of a run follow one another.
 """
 
 import itertools
@@ -22,6 +26,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,8 +36,10 @@ from maskcheck import (
     RUD,
     SDD,
     SID,
+    UKD,
     EngineConfig,
     Qms,
+    RunMemo,
     apply_algebraic_laws,
     apply_meta_theorems,
     check_si,
@@ -43,6 +50,8 @@ from maskcheck import (
     eliminate_dominated,
     eliminate_ineffective,
     eval_expr,
+    eval_vec,
+    expr_of,
     infer,
     is_effective,
     make_domain,
@@ -55,7 +64,7 @@ from maskcheck import (
 )
 from maskcheck import expr as ex
 from conftest import replayed_gap
-from randprog import random_program
+from randprog import BINOPS, random_expr, random_program
 
 FIXED = (ex.var("k", ex.SECRET), ex.var("k2", ex.SECRET),
          ex.var("p", ex.PUBLIC))
@@ -325,3 +334,85 @@ def test_solver_strength_matches_counting(case):
         assert replayed_gap(e_hat, d, got.witness) == got.den - got.num
     else:
         assert got.witness is None
+
+
+# --- one run memo: shared against fresh --------------------------------------
+
+@settings(PROPERTY, max_examples=100)
+@given(case=cases())
+def test_subterms_orders_by_size_then_print(case):
+    e, _ = case
+    assert ex.subterms(e) == sorted(ex.postorder(e),
+                                    key=lambda t: (ex.size(t), ex.pretty(t)))
+
+
+def program_forms(rng, d):
+    """Each variable's expansion, in program order."""
+    p = random_program(rng, d.bits, n_stmts=8)
+    for x in p.internals:
+        yield expr_of(p, x)
+
+
+def chain_forms(rng, d):
+    """A random expression grown step by step, as a chain of variables
+    grows, with subterms of its own that no variable names."""
+    e = random_expr(rng, d.bits)
+    for _ in range(5):
+        e = ex.binop(rng.choice(BINOPS), e, random_expr(rng, d.bits, depth=2))
+        yield e
+
+
+@pytest.mark.parametrize("forms", [program_forms, chain_forms])
+@settings(PROPERTY, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), bits=st.integers(2, 4))
+def test_shared_judgements_equal_fresh_ones(forms, seed, bits):
+    """Every form seen so far and its reduced form, typed with one memo
+    while store entries land on random subterms the rules leave UKD
+    (where an entry can change a judgement), as fresh calls type them
+    with the same store."""
+    rng = random.Random(seed)
+    d = make_domain(bits)
+    memo = RunMemo(d)
+    store = {}
+    seen = []
+    for e in forms(rng, d):
+        seen += [e, simplify(e, d, memo=memo)]
+        for form in seen:
+            assert infer(form, d, store, memo) == infer(form, d, store)
+        nodes = [n for form in seen[-2:] for n in ex.postorder(form)
+                 if infer(n, d, store).dist is UKD]
+        for node in rng.sample(nodes, min(3, len(nodes))):
+            store[node] = rng.choice((RUD, SID, SDD))
+            memo.forget(node)
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+@settings(PROPERTY, max_examples=40)
+@given(case=cases(), data=st.data())
+def test_kept_blocks_equal_fresh_evaluation(jobs, case, data):
+    """Counting a run of expressions, each built on the one before or
+    unrelated to it, with one memo gives the answers of fresh calls; and
+    eval_vec stopped at any subterm's values gives the whole values."""
+    e, d = case
+    leaves = sorted(ex.var_leaves(e), key=ex.pretty) or [ex.ONE]
+    forms = [e]
+    for _ in range(data.draw(st.integers(1, 3))):
+        forms.append(ex.binop(data.draw(st.sampled_from(OPS)),
+                              forms[-1], data.draw(st.sampled_from(leaves))))
+    forms += [simplify(forms[-1], d), e, forms[-1]]
+    memo = RunMemo(d)
+    for form in forms:
+        assert qms_exact(form, d, jobs=jobs, memo=memo) == \
+            qms_exact(form, d, jobs=jobs)
+        assert check_si(form, d, jobs=jobs, memo=memo) == \
+            check_si(form, d, jobs=jobs)
+        assert effective_variables(form, d, memo) == \
+            effective_variables(form, d)
+
+    names = sorted(ex.variables(e))
+    env = counting._digits(np.arange(d.size ** len(names), dtype=np.uint64),
+                           names, d)
+    whole = np.broadcast_to(eval_vec(e, env, d), (d.size ** len(names),))
+    for t in ex.postorder(e):
+        got = eval_vec(e, env, d, {t: eval_vec(t, env, d)})
+        assert np.array_equal(np.broadcast_to(got, whole.shape), whole)
