@@ -235,15 +235,20 @@ def replace(e: Expr, t: Expr, s: Expr) -> Expr:
     return memo[e]
 
 
-def subterms(e: Expr) -> list[Expr]:
+def subterms(e: Expr, skip=frozenset()) -> list[Expr]:
     """Distinct subterms of e, innermost first (size, then print order).
 
+    Nodes in `skip` are left out and not descended into; what lies
+    below them is listed only if it is also reachable another way.
     Only subterms of equal size are printed to be ordered: both sorts
     are stable, so the order is that of the key (size, pretty), but a
     chain, whose subterms all differ in size, prints none of them.
     """
+    nodes = postorder(e, skip.__contains__ if skip else None)
+    if skip:
+        nodes = [node for node in nodes if node not in skip]
     out: list[Expr] = []
-    for _, run in groupby(sorted(postorder(e), key=size), key=size):
+    for _, run in groupby(sorted(nodes, key=size), key=size):
         run = list(run)
         out += sorted(run, key=pretty) if len(run) > 1 else run
     return out

@@ -113,6 +113,11 @@ class RunMemo:
       as a bitmask; `bits` gives each random name its bit.
     * blocks - counting's kept block values: per block layout, the
       last expression evaluated there and its values.
+    * laws - per node, what one pass of the algebraic laws makes of it
+      (a function of the node alone).
+    * settled - per meta-pattern table (a tuple), the expressions
+      `simplify` has reduced under it: fixpoints of every reduction
+      pass, which the rewrite scans of later reductions skip.
     """
 
     def __init__(self, d: DomainConfig | None = None):
@@ -122,6 +127,8 @@ class RunMemo:
         self.reach: dict[ex.Expr, int] = {}
         self.bits: dict[str, int] = {}
         self.blocks: dict = {}
+        self.laws: dict[ex.Expr, ex.Expr] = {}
+        self.settled: dict[tuple, set[ex.Expr]] = {}
 
     def forget(self, node: ex.Expr) -> None:
         """A store entry for node was written: drop its judgement and,

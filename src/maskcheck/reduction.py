@@ -15,6 +15,21 @@ Four passes run in a fixed order until nothing changes:
 Passes 3 and 4 share one loop, `_rewrite_innermost`: rewrite the
 innermost subterm a rule fires on, everywhere it occurs, and restart.
 
+A run's memo (`infer.RunMemo`) makes a chain's reductions incremental.
+The law pass is a function of the node alone, so the memo keeps each
+node's result (`laws`) and a walk stops at the nodes it holds. Each
+reduced expression e-hat is recorded as settled under its pattern table
+(`settled`), and the rewrite scans of later reductions skip settled
+nodes without descending into them. That is exact: if u is settled and
+e contains u, no subterm t of u can fire in e, since every occurrence
+of a random r of u that lies outside t also lies outside every
+occurrence of t in e, and dominance and pattern matches depend on t
+alone; u cannot fire either, being a fixpoint in its own context. So
+the first rewrite that fires, in (size, print) order, is the same one.
+Along a chain `e_{i+1} = e_i op r`, each step then scans O(1) new nodes;
+zeroing an ineffective variable still rewrites the whole expression,
+once per variable zeroed.
+
 Every pass preserves the joint distribution of the expression for each
 fixing of secrets and publics, never grows the tree, and never invents
 random variables, so the simplified form can stand in for the original
@@ -32,11 +47,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expr as ex
-from .counting import _digits, distribution, effective_variables
+from .counting import (
+    _check_deadline,
+    _digits,
+    distribution,
+    effective_variables,
+)
 from .counting import is_effective  # noqa: F401  re-exported
 from .domain import DomainConfig
 from .errors import OracleUnsound
-from .infer import RunMemo, dominant_vars
+from .infer import RunMemo, _run_memo, dominant_vars
 from .program import _Parser, _tokenize
 
 
@@ -58,22 +78,29 @@ _ANNIHILATED = ("*", "@", "&")
 _UNIT_OPS = ("*", "@")
 
 
-def apply_algebraic_laws(e: ex.Expr) -> ex.Expr:
-    """Rewrite with the local identity/annihilator laws to a fixpoint."""
-    prev = None
-    while e is not prev:
-        prev = e
-        memo: dict[ex.Expr, ex.Expr] = {}
-        for node in ex.postorder(e):
-            kids = tuple(memo[c] for c in ex.children(node))
+def apply_algebraic_laws(e: ex.Expr, memo: RunMemo | None = None) -> ex.Expr:
+    """Rewrite with the local identity/annihilator laws to a fixpoint.
+
+    One pass makes each node its rebuilt children with a law applied on
+    top, which depends on the node alone: a run's memo keeps it for
+    every later pass and call (`laws`), and a walk stops at the nodes
+    it holds.
+    """
+    laws = {} if memo is None else memo.laws
+    while True:
+        for node in ex.postorder(e, laws.__contains__):
+            if node in laws:
+                continue
+            kids = tuple(laws[c] for c in ex.children(node))
             new = None
             if isinstance(node, ex.Binary):
                 new = _match_law(node.op, *kids)
             elif isinstance(node, ex.Unary) and isinstance(kids[0], ex.Unary):
                 new = kids[0].operand
-            memo[node] = ex.rebuild(node, kids) if new is None else new
-        e = memo[e]
-    return e
+            laws[node] = ex.rebuild(node, kids) if new is None else new
+        if laws[e] is e:
+            return e
+        e = laws[e]
 
 
 def _match_law(op, left, right):
@@ -102,14 +129,16 @@ def _exclusive_to(e: ex.Expr, t: ex.Expr, r_name: str) -> bool:
     return total == ex.occurrences(e, t) * inside
 
 
-def _rewrite_innermost(e: ex.Expr, rewrite) -> ex.Expr:
+def _rewrite_innermost(e: ex.Expr, rewrite, settled, deadline) -> ex.Expr:
     """Rewrite e to a fixpoint, innermost subterms first.
 
     rewrite(e, t) returns what subterm t of e becomes, or None; each hit
-    replaces every occurrence of t and the scan restarts.
+    replaces every occurrence of t and the scan restarts, after checking
+    the deadline. The scan skips settled nodes (see the module docstring).
     """
     while True:
-        for t in ex.subterms(e):
+        _check_deadline(deadline)
+        for t in ex.subterms(e, settled):
             new = rewrite(e, t)
             if new is not None:
                 e = ex.replace(e, t, new)
@@ -119,8 +148,12 @@ def _rewrite_innermost(e: ex.Expr, rewrite) -> ex.Expr:
 
 
 def eliminate_dominated(e: ex.Expr, d: DomainConfig,
-                        memo: RunMemo | None = None) -> ex.Expr:
-    """Collapse r-dominated subexpressions to r when r occurs nowhere else."""
+                        memo: RunMemo | None = None, settled=frozenset(),
+                        deadline: float | None = None) -> ex.Expr:
+    """Collapse r-dominated subexpressions to r when r occurs nowhere else.
+
+    The scan skips the nodes in `settled`, each a fixpoint of this pass.
+    """
     if memo is None:
         memo = RunMemo(d)   # shared by this call's dominance questions
 
@@ -130,7 +163,7 @@ def eliminate_dominated(e: ex.Expr, d: DomainConfig,
                 if _exclusive_to(e, t, r_name):
                     return ex.var(r_name, ex.RANDOM)
         return None
-    return _rewrite_innermost(e, collapse)
+    return _rewrite_innermost(e, collapse, settled, deadline)
 
 
 # --- meta-theorem patterns ----------------------------------------------------
@@ -223,13 +256,15 @@ def _instantiate(pattern: ex.Expr, bind: dict) -> ex.Expr:
                     _instantiate(pattern.right, bind))
 
 
-def apply_meta_theorems(e: ex.Expr, d: DomainConfig,
-                        patterns=None) -> ex.Expr:
+def apply_meta_theorems(e: ex.Expr, d: DomainConfig, patterns=None,
+                        settled=frozenset(),
+                        deadline: float | None = None) -> ex.Expr:
     """Apply the pattern table to a fixpoint, innermost matches first,
     patterns in table order, a rewrite of a subterm to itself skipped.
 
     The distinguished random metavariable only matches a random
-    variable that occurs nowhere outside the matched subterm.
+    variable that occurs nowhere outside the matched subterm. The scan
+    skips the nodes in `settled`, each a fixpoint of this table.
     """
     if patterns is None:
         patterns = BUILTIN_META
@@ -246,23 +281,36 @@ def apply_meta_theorems(e: ex.Expr, d: DomainConfig,
             if replacement is not t:
                 return replacement
         return None
-    return _rewrite_innermost(e, first_match)
+    return _rewrite_innermost(e, first_match, settled, deadline)
 
 
 def simplify(e: ex.Expr, d: DomainConfig, patterns=None,
-             memo: RunMemo | None = None) -> ex.Expr:
+             memo: RunMemo | None = None,
+             deadline: float | None = None) -> ex.Expr:
     """Run the four reduction passes to a global fixpoint.
 
-    A run's memo (`infer.RunMemo`) shares dominance and the values of
-    small enumeration grids with the rest of the run.
+    A run's memo (`infer.RunMemo`) over d shares dominance, the values
+    of small enumeration grids, each node's law pass and the expressions
+    already reduced under this pattern table with the rest of the run.
+    The result joins the latter: a round that returns its input changed
+    nothing, as no pass grows the tree or brings a variable back, so it
+    is a fixpoint of every pass. The deadline is checked between passes
+    and at each rewrite scan (VariableTimeout).
     """
+    memo = _run_memo(memo, d)
+    if patterns is None:
+        patterns = BUILTIN_META
+    settled = memo.settled.setdefault(tuple(patterns), set())
     prev = None
     while e is not prev:
         prev = e
+        _check_deadline(deadline)
         e = eliminate_ineffective(e, d, memo)
-        e = apply_algebraic_laws(e)
-        e = eliminate_dominated(e, d, memo)
-        e = apply_meta_theorems(e, d, patterns)
+        _check_deadline(deadline)
+        e = apply_algebraic_laws(e, memo)
+        e = eliminate_dominated(e, d, memo, settled, deadline)
+        e = apply_meta_theorems(e, d, patterns, settled, deadline)
+    settled.add(e)
     return e
 
 

@@ -25,10 +25,12 @@ potentially leaky. Strength computation assigns 1 to every RUD/SID
 variable, 0 when the leaky expansion retains no randomness, and the
 exact gap otherwise (a solver's gap search, or enumeration).
 
-Budget or deadline overruns mark the variable inconclusive and the run
-continues. Reports serialize to stable JSON: identical inputs and
-configuration produce identical bytes; wall-clock timings are only
-embedded on request.
+Budget or deadline overruns, in reduction or in counting, mark the
+variable inconclusive and the run continues; in the strength stage they
+leave the variable without a strength, and say why in its note.
+Reports serialize to stable JSON: identical inputs and configuration
+produce identical bytes; wall-clock timings are only embedded on
+request.
 """
 
 from __future__ import annotations
@@ -236,7 +238,7 @@ def _classify(p: Program, x: str, cfg: EngineConfig,
                 note="potentially leaky: counting disabled",
                 elapsed=time.monotonic() - started)
 
-        e_hat = simplify(e, cfg.domain, cfg.meta_patterns, memo)
+        e_hat = simplify(e, cfg.domain, cfg.meta_patterns, memo, deadline)
         hats[x] = e_hat
         j_hat = infer(e_hat, cfg.domain, store, memo)
         if j_hat.dist is not UKD:
@@ -297,18 +299,22 @@ def pm_check(p: Program, cfg: EngineConfig) -> Report:
 
 def _strength(p: Program, v: VariableVerdict, cfg: EngineConfig,
               report: Report, memo: RunMemo) -> None:
+    if v.dist is UKD:
+        return  # inconclusive: no strength claim
     deadline = _deadline(cfg)
     e_hat = report.reduced.get(v.name)
     if e_hat is None:
-        e_hat = simplify(expr_of(p, v.name), cfg.domain, cfg.meta_patterns,
-                         memo)
+        try:
+            e_hat = simplify(expr_of(p, v.name), cfg.domain,
+                             cfg.meta_patterns, memo, deadline)
+        except VariableTimeout as err:
+            _add_note(v, f"{type(err).__name__}: {err}")
+            return
         report.reduced[v.name] = e_hat
     den = cfg.domain.size ** len(ex.rvars(e_hat))
     if v.dist in (DistType.RUD, DistType.SID):
         v.qms = Qms(den, den)
         return
-    if v.dist is UKD:
-        return  # inconclusive: no strength claim
     if not ex.rvars(e_hat):
         v.qms = Qms(0, 1)
         return

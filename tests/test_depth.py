@@ -80,22 +80,50 @@ def test_type_only_on_deep_chain_completes():
 
 
 def test_chain_costs_grow_linearly():
-    # one run shares judgements and kept block values across variables:
-    # doubling a chain about doubles the closed-rule evaluations and the
-    # GF(2^n) products, where re-deriving every variable from the leaves
-    # quadruples them
+    # one run shares judgements, kept block values, law passes and
+    # settled reductions across variables: doubling a chain about
+    # doubles the closed-rule evaluations, the GF(2^n) products and the
+    # nodes the reductions walk, where re-deriving every variable from
+    # the leaves quadruples them
     rules = importlib.import_module("maskcheck.infer")
+    verify = importlib.import_module("maskcheck.verify")
     costs = {}
     for n in (100, 200):
         p = parse(deep_chain(n))
+        walked = []
+        reducing = []
+
+        def postorder(*args, **kwargs):
+            order = real_postorder(*args, **kwargs)
+            if reducing:
+                walked.append(len(order))
+            return order
+
+        def simplify(*args, **kwargs):
+            reducing.append(True)
+            try:
+                return real_simplify(*args, **kwargs)
+            finally:
+                reducing.pop()
+
+        real_postorder, real_simplify = ex.postorder, verify.simplify
         with mock.patch.object(rules, "_closed",
                                wraps=rules._closed) as closed, \
                 mock.patch.object(ex, "gf_mul_vec",
-                                  wraps=ex.gf_mul_vec) as mul:
+                                  wraps=ex.gf_mul_vec) as mul, \
+                mock.patch.object(ex, "postorder", postorder), \
+                mock.patch.object(verify, "simplify", simplify):
             pm_check(p, EngineConfig(make_domain(4)))
-        costs[n] = closed.call_count, mul.call_count
-    assert costs[200][0] <= 2.5 * costs[100][0], costs
-    assert costs[200][1] <= 2.5 * costs[100][1], costs
+        costs[n] = closed.call_count, mul.call_count, sum(walked)
+    for i in range(3):
+        assert costs[200][i] <= 2.5 * costs[100][i], costs
+
+
+def test_bruteforce_deep_chain_completes():
+    p = parse(deep_chain(2000))
+    report = pm_check(p, EngineConfig(make_domain(4)))
+    assert report.totals == {"internal": 2001, "sid": 533, "sdd": 1468,
+                             "counted": 1999, "unknown": 0}
 
 
 def test_subterms_prints_a_chain_in_linear_space():

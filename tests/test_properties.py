@@ -16,8 +16,9 @@ The differential properties check that every reduction pass, and
 counting, and that the type rules never contradict counting.
 
 The run-memo properties check that sharing one `RunMemo` across calls
-changes no answer: judgements as the store grows, and kept block values
-as the expressions of a run follow one another.
+changes no answer: judgements as the store grows, kept block values
+as the expressions of a run follow one another, and reductions of forms
+that contain earlier forms or their reduced forms.
 """
 
 import itertools
@@ -384,6 +385,42 @@ def test_shared_judgements_equal_fresh_ones(forms, seed, bits):
         for node in rng.sample(nodes, min(3, len(nodes))):
             store[node] = rng.choice((RUD, SID, SDD))
             memo.forget(node)
+
+
+def reducible_forms(rng, d):
+    """A random expression grown step by step on itself, on its reduced
+    form or on a subterm of its reduced form (which may fire in a
+    context of its own), with ineffective leaves `v & 0` and shapes
+    `r ^ ((2 * r) & e)` of the built-in pattern spliced in."""
+    e = random_expr(rng, d.bits)
+    for _ in range(6):
+        part = random_expr(rng, d.bits, depth=2)
+        roll = rng.random()
+        if roll < 0.3:
+            v = rng.choice(sorted(ex.var_leaves(part), key=ex.pretty)
+                           or [ex.ONE])
+            part = ex.binop("^", part, ex.binop("&", v, ex.ZERO))
+        elif roll < 0.6:
+            r = ex.var(f"r{rng.randrange(3)}", ex.RANDOM)
+            part = ex.binop("^", r, ex.binop(
+                "&", ex.binop("*", ex.const(2), r), part))
+        reduced = simplify(e, d)
+        base = rng.choice((e, reduced, rng.choice(ex.postorder(reduced))))
+        e = ex.binop(rng.choice(BINOPS), base, part)
+        yield e
+
+
+@settings(PROPERTY, max_examples=100)
+@given(seed=st.integers(0, 2**32 - 1), bits=st.integers(1, 3))
+def test_shared_reductions_equal_fresh_ones(seed, bits):
+    """simplify with one memo over a run of forms built on each other,
+    whose scans skip the forms already reduced, gives what a fresh
+    simplify gives."""
+    rng = random.Random(seed)
+    d = make_domain(bits)
+    memo = RunMemo(d)
+    for e in reducible_forms(rng, d):
+        assert simplify(e, d, memo=memo) is simplify(e, d)
 
 
 @pytest.mark.parametrize("jobs", [1, 4])

@@ -1,5 +1,6 @@
 """Expression reductions: each pass alone, the fixpoint, and the oracle hook."""
 
+import time
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from maskcheck import (
     BUILTIN_META,
     OracleUnsound,
+    RunMemo,
+    VariableTimeout,
     apply_algebraic_laws,
     apply_meta_theorems,
     apply_oracle,
@@ -282,6 +285,67 @@ class TestSimplify:
         # unreduced x6 is UKD; the reduced form has no secret left
         assert infer(expr_of(cube, "x6"), D8).dist.value == "UKD"
         assert infer(reduced, D8).dist.value == "SID"
+
+
+class TestSharedMemo:
+    # (k & k) ^ (r0 & k): nothing dominates it and the built-in table
+    # does not match it, so it is its own reduced form
+    SETTLED = binop("^", binop("&", K, K), binop("&", R0, K))
+
+    def test_reduced_form_is_settled(self):
+        memo = RunMemo(D4)
+        assert simplify(self.SETTLED, D4, memo=memo) is self.SETTLED
+        assert memo.settled == {tuple(BUILTIN_META): {self.SETTLED}}
+
+    def test_laws_are_kept_per_node(self):
+        memo = RunMemo(D4)
+        e = binop("^", binop("@", K, const(1)), const(0))
+        assert apply_algebraic_laws(e, memo) is K
+        assert memo.laws[e] is memo.laws[binop("@", K, const(1))] is K
+        with mock.patch.object(ex, "postorder", wraps=ex.postorder) as walk:
+            assert apply_algebraic_laws(e, memo) is K
+        # e and K are kept: each walk lists its root only
+        assert [c.args[0] for c in walk.call_args_list] == [e, K]
+
+    def test_scans_skip_settled_nodes(self):
+        memo = RunMemo(D4)
+        simplify(self.SETTLED, D4, memo=memo)
+        e = binop("*", self.SETTLED, P)
+        scans = []
+
+        def subterms(*args):
+            scans.append(real_subterms(*args))
+            return scans[-1]
+
+        real_subterms = ex.subterms
+        with mock.patch.object(ex, "subterms", subterms):
+            assert simplify(e, D4, memo=memo) is e
+        assert scans == [[P, e], [P, e]]
+
+    def test_another_pattern_table_gets_the_fresh_answer(self):
+        # `a & a => a` fires inside the expression settled under the
+        # built-in table; the memo keeps settled nodes per table
+        memo = RunMemo(D4)
+        simplify(self.SETTLED, D4, memo=memo)
+        table = list(BUILTIN_META) + [parse_pattern("a & a => a")]
+        e = binop("*", self.SETTLED, P)
+        fresh = simplify(e, D4, table)
+        assert pretty(fresh) == "((k ^ (r0 & k)) * p)"
+        assert simplify(e, D4, table, memo) is fresh
+        assert simplify(e, D4, memo=memo) is e
+
+    def test_memo_over_another_domain_is_rejected(self):
+        with pytest.raises(ValueError, match="memo is over"):
+            simplify(self.SETTLED, D4, memo=RunMemo(D2))
+
+    def test_passed_deadline_stops_the_reduction(self):
+        past = time.monotonic() - 1.0
+        with pytest.raises(VariableTimeout):
+            simplify(self.SETTLED, D4, deadline=past)
+        with pytest.raises(VariableTimeout):
+            eliminate_dominated(binop("^", K, R0), D4, deadline=past)
+        with pytest.raises(VariableTimeout):
+            apply_meta_theorems(K, D4, deadline=past)
 
 
 class TestOracleHook:

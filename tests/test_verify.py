@@ -38,7 +38,7 @@ from maskcheck import (
     var,
 )
 from maskcheck import expr as ex
-from maskcheck import smt, verify
+from maskcheck import reduction, smt, verify
 
 D2 = make_domain(2)
 D4 = make_domain(4)
@@ -95,6 +95,34 @@ EXPECTED_CUBE = {
     "x8": (SID, METHOD_TYPE),
     "x9": (RUD, METHOD_TYPE),
 }
+
+
+@pytest.fixture
+def slow_reduction(monkeypatch):
+    """A simulated clock on which every eliminate_ineffective pass takes
+    100 s, past the default 60 s deadline. Lists what each simplify
+    call of the verifier raised."""
+    offset = [0.0]
+    raised = []
+    real_monotonic, real_pass = time.monotonic, reduction.eliminate_ineffective
+    real_simplify = verify.simplify
+
+    def slow_pass(*args):
+        offset[0] += 100.0
+        return real_pass(*args)
+
+    def simplify(*args):
+        try:
+            return real_simplify(*args)
+        except Exception as err:
+            raised.append(type(err).__name__)
+            raise
+
+    monkeypatch.setattr(time, "monotonic",
+                        lambda: real_monotonic() + offset[0])
+    monkeypatch.setattr(reduction, "eliminate_ineffective", slow_pass)
+    monkeypatch.setattr(verify, "simplify", simplify)
+    return raised
 
 
 class TestPmCheck:
@@ -188,6 +216,20 @@ class TestPmCheck:
         assert by_name["x9"].dist is RUD
         assert report.perfectly_masked  # no SDD was proven
         assert report.totals["unknown"] == 2
+
+    def test_deadline_passed_in_reduction_is_inconclusive(
+            self, cube, slow_reduction):
+        report = pm_check(cube, EngineConfig(D8))
+        by_name = {v.name: v for v in report.verdicts}
+        for name, (dist, method) in EXPECTED_CUBE.items():
+            v = by_name[name]
+            if method == METHOD_TYPE:
+                assert (v.dist, v.method, v.note) == (dist, method, None)
+            else:
+                assert (v.dist, v.method, v.note) == (
+                    UKD, METHOD_INCONCLUSIVE,
+                    "VariableTimeout: per-variable deadline exceeded"), name
+        assert slow_reduction == ["VariableTimeout"] * 3
 
     def test_oracle_method(self):
         # (k + r0) - r0 stalls the rules; reduction first pins the
@@ -609,6 +651,18 @@ class TestQmsCompute:
                      if v.qms.fraction == worst)
         assert report.program_qms.num == first.qms.num
         assert first.name == "x2"
+
+    def test_deadline_passed_in_reduction_leaves_qms_unset(
+            self, cube, slow_reduction):
+        report = qms_compute(cube, EngineConfig(D8))
+        for v in report.verdicts:
+            assert v.qms is None, v.name
+            assert v.note == \
+                "VariableTimeout: per-variable deadline exceeded", v.name
+        assert report.program_qms is None
+        # x2, x3 and x6 time out in the verdict stage, the other eight
+        # in the strength stage; an inconclusive row is not reduced again
+        assert slow_reduction == ["VariableTimeout"] * 11
 
     def test_budget_overrun_leaves_qms_unset(self, cube):
         report = qms_compute(cube, EngineConfig(D8, budget=100))
