@@ -35,7 +35,6 @@ from .errors import (
     MaskcheckError,
     NonConstShift,
     NotSSA,
-    OracleUnsound,
     ParseError,
     ReduciblePolynomial,
     ShiftOutOfRange,
@@ -88,10 +87,8 @@ from .infer import (
 from .program import Program, Statement, execute, expr_of, parse
 from .reduction import (
     BUILTIN_META,
-    Oracle,
     apply_algebraic_laws,
     apply_meta_theorems,
-    apply_oracle,
     eliminate_dominated,
     eliminate_ineffective,
     effective_variables,
@@ -116,7 +113,6 @@ from .verify import (
     METHOD_COUNT_BF,
     METHOD_COUNT_SMT,
     METHOD_INCONCLUSIVE,
-    METHOD_ORACLE,
     METHOD_REDUCED,
     METHOD_TYPE,
     EngineConfig,

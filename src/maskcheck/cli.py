@@ -4,7 +4,13 @@ Two subcommands:
 
 * ``check FILE`` verifies a single program and prints a report.
 * ``corpus [DIR]`` sweeps every .mv file in a directory (the bundled
-  corpus by default) and prints one summary row per program.
+  corpus by default), one file at a time, and prints one summary row
+  per program.
+
+``--jobs N`` means the same in both: N worker threads for each
+counting call that spans more than one block. Solver calls run one
+after another, so under the smt engine the threads reach only a
+solver fallback's enumeration, and under type-only nothing.
 
 Exit codes: 0 perfectly masked, 1 at least one leaky variable,
 2 usage, parse or internal error, 3 inconclusive (unknown verdicts
@@ -16,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -60,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="SMT solver command line (smt engine)")
         p.add_argument("--emit-smt", metavar="DIR", default=None,
                        help="write generated solver scripts here")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="worker threads for each counting call")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="max expression evaluations per variable")
         p.add_argument("--timeout", type=float, default=60.0,
@@ -199,19 +205,12 @@ def cmd_corpus(args) -> int:
     if not directory.is_dir():
         print(f"maskcheck: not a directory: {directory}", file=sys.stderr)
         return 2
-    files = sorted(directory.glob("*.mv"))
-
-    def work(path):
-        return _run_file(path, args)
-
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        results = list(pool.map(work, files))
-
     worst = 0
     severity = {0: 0, 3: 1, 1: 2}
     docs = []
     rows = [("file", "|X_i|", "#SDD", "#Count", "time", "")]
-    for path, (report, error) in zip(files, results):
+    for path in sorted(directory.glob("*.mv")):
+        report, error = _run_file(path, args)
         if report is None:
             docs.append({"file": path.name, "error": error})
             code = 3

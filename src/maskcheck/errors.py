@@ -68,12 +68,6 @@ class VariableTimeout(MaskcheckError):
     """Per-variable wall-clock deadline passed mid-analysis."""
 
 
-# --- reductions -----------------------------------------------------------
-
-class OracleUnsound(MaskcheckError):
-    """A registered rewrite changed an expression's distribution."""
-
-
 # --- solver bridge --------------------------------------------------------
 
 class TooManyCopies(MaskcheckError):

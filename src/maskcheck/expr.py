@@ -226,13 +226,19 @@ def occurrences(e: Expr, t: Expr) -> int:
     return memo[e]
 
 
-def replace(e: Expr, t: Expr, s: Expr) -> Expr:
-    """Replace every occurrence of subterm t in e with s."""
+def substitute(e: Expr, mapping: dict[Expr, Expr]) -> Expr:
+    """Replace every occurrence of each key of mapping in e with its value,
+    in one walk that does not descend into the keys."""
     memo: dict[Expr, Expr] = {}
-    for node in postorder(e, lambda n: n is t):
-        memo[node] = s if node is t else \
+    for node in postorder(e, mapping.__contains__):
+        memo[node] = mapping[node] if node in mapping else \
             rebuild(node, tuple(memo[c] for c in children(node)))
     return memo[e]
+
+
+def replace(e: Expr, t: Expr, s: Expr) -> Expr:
+    """Replace every occurrence of subterm t in e with s."""
+    return substitute(e, {t: s})
 
 
 def subterms(e: Expr, skip=frozenset()) -> list[Expr]:

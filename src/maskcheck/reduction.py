@@ -27,35 +27,22 @@ occurrence of t in e, and dominance and pattern matches depend on t
 alone; u cannot fire either, being a fixpoint in its own context. So
 the first rewrite that fires, in (size, print) order, is the same one.
 Along a chain `e_{i+1} = e_i op r`, each step then scans O(1) new nodes;
-zeroing an ineffective variable still rewrites the whole expression,
-once per variable zeroed.
+a firing of eliminate_ineffective rewrites the whole expression, in one
+walk however many variables it zeroes.
 
 Every pass preserves the joint distribution of the expression for each
 fixing of secrets and publics, never grows the tree, and never invents
 random variables, so the simplified form can stand in for the original
-in both type inference and model counting.
-
-A separate oracle hook lets callers register arbitrary rewrites
-(e.g. boolean-to-arithmetic conversions); results are spot-checked by
-exhaustive distribution comparison on narrow domains.
+in both type inference and model counting. The pattern table is the
+way to extend reduction with rewrites of one's own.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-import numpy as np
-
 from . import expr as ex
-from .counting import (
-    _check_deadline,
-    _digits,
-    distribution,
-    effective_variables,
-)
+from .counting import _check_deadline, effective_variables
 from .counting import is_effective  # noqa: F401  re-exported
 from .domain import DomainConfig
-from .errors import OracleUnsound
 from .infer import RunMemo, _run_memo, dominant_vars
 from .program import _Parser, _tokenize
 
@@ -68,10 +55,9 @@ def eliminate_ineffective(e: ex.Expr, d: DomainConfig,
     and so the answer for every other variable, as it was.
     """
     effective = effective_variables(e, d, memo)
-    for leaf in ex.var_leaves(e):
-        if leaf.name not in effective:
-            e = ex.replace(e, leaf, ex.ZERO)
-    return e
+    zeroed = {leaf: ex.ZERO for leaf in ex.var_leaves(e)
+              if leaf.name not in effective}
+    return ex.substitute(e, zeroed) if zeroed else e
 
 
 _ANNIHILATED = ("*", "@", "&")
@@ -313,42 +299,3 @@ def simplify(e: ex.Expr, d: DomainConfig, patterns=None,
     settled.add(e)
     return e
 
-
-# --- transformation oracle ------------------------------------------------------
-
-Oracle = Callable[[ex.Expr, DomainConfig], Optional[ex.Expr]]
-
-
-def apply_oracle(e: ex.Expr, d: DomainConfig,
-                 registry: list[Oracle]) -> Optional[ex.Expr]:
-    """First registered rewrite that fires, distribution-checked when cheap.
-
-    On domains of at most 2 bits (and few enough variables to
-    enumerate) the rewrite is verified by comparing the exact
-    distributions of e and the result for every fixing; a mismatch
-    raises OracleUnsound.
-    """
-    for oracle in registry:
-        result = oracle(e, d)
-        if result is None:
-            continue
-        if d.bits <= 2:
-            _spot_check(e, result, d)
-        return result
-    return None
-
-
-def _spot_check(e: ex.Expr, result: ex.Expr, d: DomainConfig):
-    names = sorted((ex.variables(e) | ex.variables(result)) - ex.rvars(e)
-                   - ex.rvars(result))
-    if d.bits * (len(names) + len(ex.rvars(e) | ex.rvars(result))) > 16:
-        return
-    for idx in range(d.size ** len(names)):
-        sigma = _digits(idx, names, d)
-        left = distribution(e, sigma, d)
-        right = distribution(result, sigma, d)
-        if not np.array_equal(left.counts * right.total,
-                              right.counts * left.total):
-            raise OracleUnsound(
-                f"rewrite of {ex.pretty(e)} to {ex.pretty(result)} "
-                f"changes the distribution at sigma={sigma}")

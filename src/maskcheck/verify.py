@@ -4,8 +4,7 @@ For every internal variable x, in SSA order:
 
 1. Type the expansion Expr(x). A non-UKD answer settles x.
 2. Otherwise simplify to e-hat and type again.
-3. Otherwise ask the registered transformation oracles for a rewrite.
-4. Otherwise decide by model counting on e-hat: the bruteforce engine
+3. Otherwise decide by model counting on e-hat: the bruteforce engine
    enumerates exactly, the smt engine asks a solver whether the
    strength is below 1 and replays a sat model into the (sigma1,
    sigma2) witness. Results are stored against Expr(x) so that later
@@ -15,7 +14,7 @@ Every stage of every variable shares one RunMemo, created per call and
 dropped on return; each store write tells it to drop the judgements
 derived without that entry.
 
-When the strength is wanted too (qms_compute), step 4 enumerates with
+When the strength is wanted too (qms_compute), step 3 enumerates with
 qms_exact instead of check_si, or runs the solver's gap search to the
 end, of which the verdict question is the first step; the strength
 stage reuses that Qms: each counted variable is counted once.
@@ -53,14 +52,13 @@ from .errors import (
 )
 from .infer import SDD, SID, UKD, DistType, RunMemo, infer
 from .program import Program, expr_of
-from .reduction import apply_oracle, simplify
+from .reduction import simplify
 from .smt import GapSearch, emit_query, encode_psi
 
 ENGINES = ("type-only", "bruteforce", "smt")
 
 METHOD_TYPE = "type-rule"
 METHOD_REDUCED = "reduced-type-rule"
-METHOD_ORACLE = "oracle"
 METHOD_COUNT_BF = "counting-bruteforce"
 METHOD_COUNT_SMT = "counting-smt"
 METHOD_INCONCLUSIVE = "inconclusive"
@@ -75,7 +73,6 @@ class EngineConfig:
     solver_cmd: str | None = None
     smt_profile: str = "bv"
     var_timeout: float | None = 60.0
-    oracles: list = field(default_factory=list)
     meta_patterns: list | None = None
     emit_smt_dir: str | Path | None = None
 
@@ -246,15 +243,6 @@ def _classify(p: Program, x: str, cfg: EngineConfig,
             return VariableVerdict(x, j_hat.dist, METHOD_REDUCED,
                                    j_hat.rule_trace,
                                    elapsed=time.monotonic() - started)
-
-        rewritten = apply_oracle(e_hat, cfg.domain, cfg.oracles)
-        if rewritten is not None:
-            j_oracle = infer(rewritten, cfg.domain, store, memo)
-            if j_oracle.dist is not UKD:
-                _remember(store, memo, j_oracle.dist, e, e_hat)
-                return VariableVerdict(x, j_oracle.dist, METHOD_ORACLE,
-                                       j_oracle.rule_trace,
-                                       elapsed=time.monotonic() - started)
 
         dist, method, witness = _count_decide(x, e_hat, cfg, deadline, notes,
                                               counted, memo)

@@ -5,12 +5,13 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import maskcheck
-from maskcheck import cli, report_from_dict
+from maskcheck import cli, counting, report_from_dict
 from maskcheck.cli import build_parser, corpus_dir, main, run
 
 CUBE = str(corpus_dir() / "cube.mv")
@@ -28,6 +29,15 @@ WIDE = """
 fn Wide(k: secret, r0: random, r1: random, r2: random) {
   a = k & r0;
   y = a ^ (r1 & r2);
+  return y;
+}
+"""
+
+# y is counted over 2^8 secret rows by 2^16 random columns: 2^24 cells,
+# more than one block, so a counting call with jobs > 1 starts its pool
+BLOCKS = """
+fn Blocks(k: secret, r0: random, r1: random) {
+  y = (k & r0) ^ (r0 & r1);
   return y;
 }
 """
@@ -316,6 +326,23 @@ class TestCorpus:
         serial = capsys.readouterr().out
         run(["corpus", "--format", "json", "--jobs", "8"])
         assert capsys.readouterr().out == serial
+
+    def test_jobs_bound_the_worker_threads(self, tmp_path, monkeypatch,
+                                           capsys):
+        for name in ("a.mv", "b.mv"):
+            (tmp_path / name).write_text(BLOCKS)
+        jobs = 2
+        base = threading.active_count()
+        peak = []
+        evaluate = counting.ex.eval_vec
+
+        def spy(*args, **kwargs):
+            peak.append(threading.active_count())
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(counting.ex, "eval_vec", spy)
+        assert run(["corpus", str(tmp_path), "--jobs", str(jobs)]) == 1
+        assert peak and max(peak) <= base + jobs
 
     def test_qms_flows_into_corpus_reports(self, capsys):
         run(["corpus", "--format", "json", "--qms"])

@@ -13,7 +13,9 @@ come in column slices.
 
 The differential properties check that every reduction pass, and
 `simplify`, keeps the strength and the secret-independence answer of
-counting, and that the type rules never contradict counting.
+counting, and that the type rules never contradict counting; zeroing
+the ineffective leaves in one walk gives the node that one `replace`
+per leaf gives.
 
 The run-memo properties check that sharing one `RunMemo` across calls
 changes no answer: judgements as the store grows, kept block values
@@ -246,6 +248,23 @@ def test_reductions_keep_the_counted_answers(case):
         e_hat = reduce(e, d)
         assert qms_exact(e_hat, d).fraction == strength, name
         assert check_si(e_hat, d)[0] == si, name
+
+
+@settings(PROPERTY, max_examples=100)
+@given(case=cases())
+@example(case=(ex.binop("^", ex.binop("^", ex.binop("+", K, R0), ex.binop(
+    "&", R1, ex.ZERO)), ex.binop("*", ex.binop("&", P, ex.ZERO), R1)),
+    make_domain(2)))
+def test_zeroing_in_one_walk_equals_one_replace_per_leaf(case):
+    """eliminate_ineffective zeroes every ineffective leaf in one walk;
+    one `replace` per leaf gives the same interned node."""
+    e, d = case
+    effective = effective_variables(e, d)
+    expected = e
+    for leaf in sorted(ex.var_leaves(e), key=ex.pretty):
+        if leaf.name not in effective:
+            expected = ex.replace(expected, leaf, ex.ZERO)
+    assert eliminate_ineffective(e, d) is expected
 
 
 @differential_test

@@ -1,4 +1,4 @@
-"""Expression reductions: each pass alone, the fixpoint, and the oracle hook."""
+"""Expression reductions: each pass alone and the fixpoint."""
 
 import time
 from unittest import mock
@@ -8,12 +8,10 @@ import pytest
 
 from maskcheck import (
     BUILTIN_META,
-    OracleUnsound,
     RunMemo,
     VariableTimeout,
     apply_algebraic_laws,
     apply_meta_theorems,
-    apply_oracle,
     binop,
     const,
     corpus_dir,
@@ -347,37 +345,3 @@ class TestSharedMemo:
         with pytest.raises(VariableTimeout):
             apply_meta_theorems(K, D4, deadline=past)
 
-
-class TestOracleHook:
-    def test_no_oracle_fires(self):
-        assert apply_oracle(K, D2, []) is None
-        assert apply_oracle(K, D2, [lambda e, d: None]) is None
-
-    def test_sound_oracle_accepted(self):
-        def fold_xor_self(e, d):
-            if isinstance(e, ex.Binary) and e.op == "^" and e.left is e.right:
-                return ex.ZERO
-            return None
-
-        e = xor(binop("&", K, P), binop("&", K, P))
-        assert apply_oracle(e, D2, [fold_xor_self]) is ex.ZERO
-
-    def test_first_firing_oracle_wins(self):
-        first = lambda e, d: None
-        second = lambda e, d: R0
-        third = lambda e, d: R1
-        assert apply_oracle(xor(K, R0), D2, [first, second, third]) is R0
-
-    def test_unsound_oracle_rejected(self):
-        def drop_the_secret(e, d):
-            return R0
-
-        with pytest.raises(OracleUnsound):
-            apply_oracle(binop("&", K, R0), D2, [drop_the_secret])
-
-    def test_wide_domain_skips_spot_check(self):
-        def drop_the_secret(e, d):
-            return R0
-
-        # at 8 bits the check is too expensive and is skipped by design
-        assert apply_oracle(binop("&", K, R0), D8, [drop_the_secret]) is R0

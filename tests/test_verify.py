@@ -14,7 +14,6 @@ from maskcheck import (
     METHOD_COUNT_BF,
     METHOD_COUNT_SMT,
     METHOD_INCONCLUSIVE,
-    METHOD_ORACLE,
     METHOD_REDUCED,
     METHOD_TYPE,
     RUD,
@@ -230,30 +229,6 @@ class TestPmCheck:
                     UKD, METHOD_INCONCLUSIVE,
                     "VariableTimeout: per-variable deadline exceeded"), name
         assert slow_reduction == ["VariableTimeout"] * 3
-
-    def test_oracle_method(self):
-        # (k + r0) - r0 stalls the rules; reduction first pins the
-        # ineffective r0 to 0, then an additive-unmasking rewrite of
-        # (x + y) - y exposes the bare secret
-        def unmask(e, d):
-            if isinstance(e, ex.Binary) and e.op == "-" and \
-                    isinstance(e.left, ex.Binary) and e.left.op == "+" and \
-                    e.left.right is e.right:
-                return e.left.left
-            return None
-
-        p = parse("""
-        fn Unmask(k: secret, r0: random) {
-          t = k + r0;
-          u = t - r0;
-          return u;
-        }
-        """)
-        report = pm_check(p, EngineConfig(D2, oracles=[unmask]))
-        t, u = report.verdicts
-        assert (t.dist, t.method) == (RUD, METHOD_TYPE)
-        assert (u.name, u.dist, u.method) == ("u", SDD, METHOD_ORACLE)
-        assert u.rule_trace == ("secret",)
 
 
 class TestSmtEngine:
