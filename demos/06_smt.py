@@ -8,7 +8,8 @@ The first step is the verdict question "is the strength below 1?".
 Each sat answer's model (sigma1, sigma2, c) is replayed by exact
 counting, and the gap it realises raises the lower end of the search,
 so at most m+1 answers pin the strength exactly, often fewer, and the
-replayed model comes back as the witness.
+replayed model comes back as the witness. The whole search runs in one
+solver process: the copies go once, then only each step's threshold.
 """
 
 import os
@@ -23,13 +24,14 @@ from maskcheck.expr import binop, var
 
 
 def find_solver():
+    """A command that answers SMT-LIB2 on stdin: MASKCHECK_SOLVER,
+    `z3 -in`, or the bundled fragment checker."""
     env = os.environ.get("MASKCHECK_SOLVER")
     if env:
         return env
-    for binary in ("z3", "cvc5", "bitwuzla", "boolector"):
-        found = shutil.which(binary)
-        if found:
-            return found
+    found = shutil.which("z3")
+    if found:
+        return f"{found} -in"
     bundled = Path(__file__).resolve().parents[1] / "tests" / "fragment_solver.py"
     if bundled.exists():
         return f"{sys.executable} {bundled}"
@@ -50,6 +52,14 @@ print(f"copies per side = {1 << query.m}, delta = {query.delta} "
       f"({len(query.text.splitlines())} lines of SMT-LIB)")
 print("\n".join(query.text.splitlines()[:7]))
 print("  ...")
+
+# Only the final assert depends on q. Given the query's prefix, the
+# next threshold renders just its tail, which a solver session sends
+# after the copies it already holds.
+tail = encode_psi(e, Fraction(1, 4), d, "bv", query.prefix)
+print(f"q = 1/4 after the prefix: {len(tail.text)} bytes, not "
+      f"{len(query.text)}")
+print(tail.text, end="")
 
 solver = find_solver()
 if solver is None:

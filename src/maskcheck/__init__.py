@@ -103,6 +103,7 @@ from .smt import (
     UNKNOWN,
     UNSAT,
     SmtQuery,
+    SolverSession,
     SolverVerdict,
     check_sat,
     encode_psi,

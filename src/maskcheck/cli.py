@@ -8,9 +8,14 @@ Two subcommands:
   per program.
 
 ``--jobs N`` means the same in both: N worker threads for each
-counting call that spans more than one block. Solver calls run one
-after another, so under the smt engine the threads reach only a
-solver fallback's enumeration, and under type-only nothing.
+counting call that spans more than one block. Under the smt engine a
+program's questions go one after another to its one solver process,
+so the threads reach only a solver fallback's enumeration; under
+type-only they reach nothing.
+
+``--solver CMD`` names a solver that reads SMT-LIB2 commands on stdin
+and answers each one as it arrives, e.g. ``z3 -in``. Each program
+starts at most one process of it, at its first question.
 
 Exit codes: 0 perfectly masked, 1 at least one leaky variable,
 2 usage, parse or internal error, 3 inconclusive (unknown verdicts
@@ -62,7 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--qms", action="store_true",
                        help="also compute masking strength per variable")
         p.add_argument("--solver", metavar="CMD", default=None,
-                       help="SMT solver command line (smt engine)")
+                       help="SMT solver command that answers SMT-LIB2 "
+                            "commands on stdin, e.g. 'z3 -in' (smt engine)")
         p.add_argument("--emit-smt", metavar="DIR", default=None,
                        help="write generated solver scripts here")
         p.add_argument("--jobs", type=int, default=1,

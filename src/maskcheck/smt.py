@@ -22,6 +22,12 @@ indicators, for solvers that accept mixed bit-vector/integer scripts.
 Every script asks for a model: after (check-sat) it requests the values
 of p_*, k_*, kk_* and c, which check_sat parses when the answer is sat.
 
+Only the final assert depends on q. encode_psi renders the rest, the
+Prefix, once per expression; given that prefix back, it renders only
+the threshold's tail. A SolverSession keeps one solver process on
+stdin: it sends a prefix once inside (push 1) and asks each threshold
+inside a (push 1)/(pop 1) of its own.
+
 GapSearch pins the largest count gap G = 2^m * (1 - QMS) in at most
 m+1 queries, the first of which is the q = 1 verdict question "G > 0?".
 Each sat model is replayed by exact counting, and the gap it realises
@@ -35,12 +41,14 @@ smallest.
 from __future__ import annotations
 
 import math
+import os
 import re
+import selectors
 import shlex
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,10 +70,16 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class SmtQuery:
-    text: str
+    text: str       # the standalone script, or only the threshold's tail
     q: Fraction
     m: int          # bits * |rvars|: 2^m program copies per side
     delta: int      # ceil((1-q) * 2^m)
+    prefix: Prefix = field(compare=False, repr=False)
+
+    @property
+    def script(self) -> str:
+        """The standalone script, whichever text the query holds."""
+        return self.prefix.script(self.q, self.delta)
 
 
 @dataclass(frozen=True)
@@ -155,14 +169,61 @@ def _balanced_sum(names: list[str], adder: str) -> str:
     return names[0]
 
 
-def encode_psi(e: ex.Expr, q, d: DomainConfig,
-               profile: str = "bv") -> SmtQuery:
-    """Build the strength-below-q satisfiability script for e."""
-    if profile not in ("bv", "int"):
-        raise ValueError(f"unknown profile {profile!r}")
-    q = Fraction(q)
-    if not 0 <= q <= 1:
-        raise ValueError(f"q must lie in [0, 1], got {q}")
+@dataclass(frozen=True, eq=False)
+class Prefix:
+    """What the scripts for every threshold of one expression share,
+    rendered once: the declarations, the 2^m copies per side and their
+    indicators (`body`), and the two indicator sums. A standalone script
+    is a header, `body` and the threshold's assert; a session sends
+    `shared` once and `tail(delta)` per threshold."""
+
+    expr: str               # the expression, pretty-printed
+    bits: int
+    poly: int
+    m: int
+    profile: str
+    body: str
+    sum_c: str              # balanced sums of the i_* and j_* indicators
+    sum_d: str
+    values: str             # the get-value command
+
+    @property
+    def logic(self) -> str:
+        return "QF_BV" if self.profile == "bv" else "ALL"
+
+    def _assert(self, delta: int, sum_c: str, sum_d: str) -> str:
+        if self.profile == "bv":
+            width = self.m + 2
+            return (f"(assert (bvugt {sum_c} "
+                    f"(bvadd {_bv(delta, width)} {sum_d})))\n")
+        return f"(assert (> (- {sum_c} {sum_d}) {delta}))\n"
+
+    def script(self, q: Fraction, delta: int) -> str:
+        """The standalone script for one threshold."""
+        return (f"; masking-strength query: is QMS({self.expr}) < {q}?\n"
+                f"; bits {self.bits}, modulus {self.poly:#x}, "
+                f"copies 2^{self.m}, delta {delta}\n"
+                "(set-option :produce-models true)\n"
+                f"(set-logic {self.logic})\n"
+                + self.body
+                + self._assert(delta, self.sum_c, self.sum_d)
+                + f"(check-sat)\n{self.values}\n")
+
+    @property
+    def shared(self) -> str:
+        """The body with both sums defined once, for a session."""
+        sort = f"(_ BitVec {self.m + 2})" if self.profile == "bv" else "Int"
+        return (self.body
+                + f"(define-fun sum_c () {sort} {self.sum_c})\n"
+                + f"(define-fun sum_d () {sort} {self.sum_d})\n")
+
+    def tail(self, delta: int) -> str:
+        """What a session asks for one threshold, after `shared`."""
+        return (self._assert(delta, "sum_c", "sum_d")
+                + f"(check-sat)\n{self.values}\n")
+
+
+def _prefix(e: ex.Expr, d: DomainConfig, profile: str) -> Prefix:
     n = d.bits
     rand_names = sorted(ex.rvars(e))
     m = n * len(rand_names)
@@ -170,20 +231,11 @@ def encode_psi(e: ex.Expr, q, d: DomainConfig,
         raise TooManyCopies(
             f"{len(rand_names)} randoms x {n} bits would need 2^{m} copies")
     copies = 1 << m
-    # exact for the dyadic thresholds GapSearch asks about;
-    # for other q the ceiling errs on the unsatisfiable side
-    delta = math.ceil((1 - q) * copies)
-
     leaves = ex.var_counts(e)
     publics = sorted(v.name for v in leaves if v.kind == ex.PUBLIC)
     secrets = sorted(v.name for v in leaves if v.kind == ex.SECRET)
 
-    lines = [
-        f"; masking-strength query: is QMS({ex.pretty(e)}) < {q}?",
-        f"; bits {n}, modulus {d.poly:#x}, copies 2^{m}, delta {delta}",
-        "(set-option :produce-models true)",
-        "(set-logic QF_BV)" if profile == "bv" else "(set-logic ALL)",
-    ]
+    lines = []
     order = ex.postorder(e)
     if any(isinstance(t, ex.Binary) and t.op == "@" for t in order):
         lines.append(_gfmul_define(d))
@@ -205,31 +257,49 @@ def encode_psi(e: ex.Expr, q, d: DomainConfig,
                 f"(define-fun {prefix}_{t} () (_ BitVec {n}) "
                 f"{_term(order, d, rand_values, primed)})")
 
-    width = m + 2
     if profile == "bv":
+        width = m + 2
+        sort, adder = f"(_ BitVec {width})", "bvadd"
         one, zero = _bv(1, width), _bv(0, width)
-        for t in range(copies):
-            lines.append(f"(define-fun i_{t} () (_ BitVec {width}) "
-                         f"(ite (= c c_{t}) {one} {zero}))")
-            lines.append(f"(define-fun j_{t} () (_ BitVec {width}) "
-                         f"(ite (= c d_{t}) {one} {zero}))")
-        sum_i = _balanced_sum([f"i_{t}" for t in range(copies)], "bvadd")
-        sum_j = _balanced_sum([f"j_{t}" for t in range(copies)], "bvadd")
-        lines.append(f"(assert (bvugt {sum_i} "
-                     f"(bvadd {_bv(delta, width)} {sum_j})))")
     else:
-        for t in range(copies):
-            lines.append(f"(define-fun i_{t} () Int (ite (= c c_{t}) 1 0))")
-            lines.append(f"(define-fun j_{t} () Int (ite (= c d_{t}) 1 0))")
-        sum_i = _balanced_sum([f"i_{t}" for t in range(copies)], "+")
-        sum_j = _balanced_sum([f"j_{t}" for t in range(copies)], "+")
-        lines.append(f"(assert (> (- {sum_i} {sum_j}) {delta}))")
-    lines.append("(check-sat)")
+        sort, adder, one, zero = "Int", "+", "1", "0"
+    for t in range(copies):
+        lines.append(f"(define-fun i_{t} () {sort} "
+                     f"(ite (= c c_{t}) {one} {zero}))")
+        lines.append(f"(define-fun j_{t} () {sort} "
+                     f"(ite (= c d_{t}) {one} {zero}))")
     names = [f"p_{name}" for name in publics] + \
         [f"k_{name}" for name in secrets] + \
         [f"kk_{name}" for name in secrets] + ["c"]
-    lines.append(f"(get-value ({' '.join(names)}))")
-    return SmtQuery("\n".join(lines) + "\n", q, m, delta)
+    return Prefix(
+        ex.pretty(e), n, d.poly, m, profile, "\n".join(lines) + "\n",
+        _balanced_sum([f"i_{t}" for t in range(copies)], adder),
+        _balanced_sum([f"j_{t}" for t in range(copies)], adder),
+        f"(get-value ({' '.join(names)}))")
+
+
+def encode_psi(e: ex.Expr, q, d: DomainConfig, profile: str = "bv",
+               prefix: Prefix | None = None) -> SmtQuery:
+    """Build the strength-below-q satisfiability script for e.
+
+    With `prefix`, the .prefix of an earlier query for the same e, d and
+    profile, nothing is rendered again but the threshold's tail, which
+    becomes the query's text; without it, the text is the standalone
+    script.
+    """
+    if profile not in ("bv", "int"):
+        raise ValueError(f"unknown profile {profile!r}")
+    q = Fraction(q)
+    if not 0 <= q <= 1:
+        raise ValueError(f"q must lie in [0, 1], got {q}")
+    whole = prefix is None
+    if whole:
+        prefix = _prefix(e, d, profile)
+    # exact for the dyadic thresholds GapSearch asks about;
+    # for other q the ceiling errs on the unsatisfiable side
+    delta = math.ceil((1 - q) * (1 << prefix.m))
+    text = prefix.script(q, delta) if whole else prefix.tail(delta)
+    return SmtQuery(text, q, prefix.m, delta, prefix)
 
 
 def emit_query(out_dir: str | Path, var_name: str, query: SmtQuery) -> None:
@@ -237,7 +307,7 @@ def emit_query(out_dir: str | Path, var_name: str, query: SmtQuery) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     name = f"{var_name}_q{query.q.numerator}_{query.q.denominator}.smt2"
-    (out / name).write_text(query.text)
+    (out / name).write_text(query.script)
 
 
 # one (name value) pair of a get-value answer: #b..., #x... or (_ bvN w)
@@ -259,41 +329,141 @@ def _parse_model(text: str) -> dict[str, int] | None:
     return model or None
 
 
-def check_sat(query: SmtQuery, solver_cmd: str,
-              timeout: float | None = None,
-              script_path: str | Path | None = None) -> SolverVerdict:
-    """Run an external solver on the query script (path passed last).
+# echoed after every question; the answer is what comes before it
+SENTINEL = b"maskcheck-answered"
 
-    Output containing a bare `sat`/`unsat` line decides the verdict;
-    anything else, including a timeout, is UNKNOWN. After `sat`, the
-    values the script's get-value asks for become the verdict's model;
-    what a solver prints after `unsat` (an error, since there is no
-    model) is ignored.
+
+class SolverSession:
+    """One solver process, started at the first question and kept.
+
+    The command reads SMT-LIB2 commands on stdin and answers each as it
+    arrives (`z3 -in`). A new process is sent produce-models and the
+    prefix's logic once; a prefix goes once, inside (push 1), and the
+    next prefix pops it; each question is (push 1), the threshold's
+    tail and (pop 1), followed by (echo SENTINEL): its answer is the
+    stdout lines up to the sentinel, quoted or not. A process that
+    exits is started again at the next question, which sends its
+    prefix again; one that overruns a question's timeout is killed.
+    Stderr goes to a temporary file per process, read when stdout gives
+    no answer. `close` kills the process; the session can be asked
+    again after it.
     """
-    started = time.monotonic()
-    if script_path is None:
-        handle = tempfile.NamedTemporaryFile(
-            "w", suffix=".smt2", delete=False)
-        path = Path(handle.name)
-        handle.write(query.text)
-        handle.close()
-    else:
-        path = Path(script_path)
-        path.write_text(query.text)
-    try:
-        proc = subprocess.run(
-            shlex.split(solver_cmd) + [str(path)],
-            capture_output=True, text=True, timeout=timeout)
-    except (FileNotFoundError, PermissionError) as err:
-        raise SolverSpawnFailure(f"cannot run {solver_cmd!r}: {err}") from err
-    except subprocess.TimeoutExpired:
-        return SolverVerdict(UNKNOWN, "timeout",
-                             time.monotonic() - started)
-    finally:
-        if script_path is None:
-            path.unlink(missing_ok=True)
-    elapsed = time.monotonic() - started
-    lines = proc.stdout.splitlines()
+
+    def __init__(self, cmd: str):
+        self.cmd = cmd
+        self._proc: subprocess.Popen | None = None
+        self._err = None        # the process's stderr file
+        self._logic = None      # the logic the process was sent
+        self._loaded = None     # the prefix inside the open (push 1)
+
+    def __enter__(self) -> SolverSession:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        proc, self._proc, self._loaded = self._proc, None, None
+        if proc is None:
+            return
+        proc.kill()
+        proc.wait()
+        proc.stdin.close()
+        proc.stdout.close()
+        self._err.close()
+
+    def _start(self, logic: str) -> str:
+        """Spawn the process; the commands it needs first."""
+        self._err = tempfile.TemporaryFile()
+        try:
+            self._proc = subprocess.Popen(
+                shlex.split(self.cmd), stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE, stderr=self._err)
+        except (FileNotFoundError, PermissionError) as err:
+            self._err.close()
+            raise SolverSpawnFailure(
+                f"cannot run {self.cmd!r}: {err}") from err
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        self._logic = logic
+        return f"(set-option :produce-models true)\n(set-logic {logic})\n"
+
+    def _exchange(self, data: bytes, deadline: float | None):
+        """Send data and read stdout: (lines before the sentinel, whether
+        the process ended first), or None once the deadline passes."""
+        proc = self._proc
+        out, into = proc.stdout.fileno(), proc.stdin.fileno()
+        lines, partial = [], b""
+        with selectors.DefaultSelector() as sel:
+            sel.register(out, selectors.EVENT_READ)
+            sel.register(into, selectors.EVENT_WRITE)
+            while True:
+                wait = None
+                if deadline is not None:
+                    wait = deadline - time.monotonic()
+                    if wait <= 0:
+                        return None
+                for key, _ in sel.select(wait):
+                    if key.fd == into:
+                        try:
+                            data = data[os.write(into, data):]
+                        except BlockingIOError:
+                            continue
+                        except BrokenPipeError:
+                            data = b""  # it stopped reading: hear it out
+                        if not data:
+                            sel.unregister(into)
+                        continue
+                    chunk = os.read(out, 1 << 16)
+                    if not chunk:
+                        if partial:
+                            lines.append(partial.decode(errors="replace"))
+                        return lines, True
+                    *done, partial = (partial + chunk).split(b"\n")
+                    for line in done:
+                        if line.strip().strip(b'"') == SENTINEL:
+                            return lines, False
+                        lines.append(line.decode(errors="replace"))
+
+    def ask(self, query: SmtQuery, timeout: float | None = None
+            ) -> SolverVerdict:
+        started = time.monotonic()
+        prefix = query.prefix
+        if self._proc is not None and (self._proc.poll() is not None
+                                       or self._logic != prefix.logic):
+            self.close()
+        text = self._start(prefix.logic) if self._proc is None else ""
+        if self._loaded is not prefix:
+            if self._loaded is not None:
+                text += "(pop 1)\n"
+            text += "(push 1)\n" + prefix.shared
+            self._loaded = prefix
+        text += (f"(push 1)\n{prefix.tail(query.delta)}(pop 1)\n"
+                 f'(echo "{SENTINEL.decode()}")\n')
+        err = self._err.fileno()
+        mark = os.fstat(err).st_size
+        got = self._exchange(text.encode(), None if timeout is None
+                             else started + timeout)
+        elapsed = time.monotonic() - started
+        if got is None:
+            self.close()
+            return SolverVerdict(UNKNOWN, "timeout", elapsed)
+        lines, ended = got
+        verdict = _decided(lines, elapsed)
+        if verdict is None:
+            stderr = os.pread(err, os.fstat(err).st_size - mark, mark)
+            reason = ("\n".join(lines) + "\n"
+                      + stderr.decode(errors="replace")).strip().splitlines()
+            verdict = SolverVerdict(UNKNOWN, reason[0] if reason
+                                    else "no output", elapsed)
+        if ended:
+            self.close()
+        return verdict
+
+
+def _decided(lines: list[str], elapsed: float) -> SolverVerdict | None:
+    """The verdict of the first bare `sat`/`unsat` line, None if none.
+    After `sat`, the get-value answer is the model; what follows
+    `unsat` (an error, since there is no model) is ignored."""
     for i, line in enumerate(lines):
         word = line.strip()
         if word == "sat":
@@ -301,9 +471,21 @@ def check_sat(query: SmtQuery, solver_cmd: str,
                 "\n".join(lines[i + 1:])))
         if word == "unsat":
             return SolverVerdict(UNSAT, elapsed=elapsed)
-    reason = (proc.stdout + proc.stderr).strip().splitlines()
-    return SolverVerdict(UNKNOWN, reason[0] if reason else "no output",
-                         elapsed)
+    return None
+
+
+def check_sat(query: SmtQuery, solver: SolverSession | str,
+              timeout: float | None = None) -> SolverVerdict:
+    """Ask the query in `solver`, a session or the command of a one-shot
+    session. A bare `sat`/`unsat` line decides the verdict; anything
+    else, including a timeout, is UNKNOWN, whose reason is the first
+    line of output, stdout before stderr. After `sat`, the values the
+    get-value asks for become the verdict's model.
+    """
+    if isinstance(solver, str):
+        with SolverSession(solver) as session:
+            return session.ask(query, timeout)
+    return solver.ask(query, timeout)
 
 
 def _replay(e: ex.Expr, d: DomainConfig, model: dict[str, int]):
@@ -340,16 +522,21 @@ class GapSearch:
     whose gap does not lie in (t, hi] raises InconclusiveSolver, as
     does an unknown answer. The witness, when not None, realises lo.
 
+    The first step renders the whole script and keeps its prefix; the
+    later steps render only their tails. Every step goes to `solver`,
+    a session or the command of a one-shot session per step.
+
     A step that raises leaves lo, hi and the witness as they were. With
     emit_dir set, a script that cannot be written raises OSError before
     the solver is asked, so the step can be asked again without it.
     """
 
-    def __init__(self, e: ex.Expr, d: DomainConfig, solver_cmd: str,
-                 profile: str = "bv", emit_dir: str | Path | None = None,
-                 var_name: str = "e", stats: dict | None = None):
-        self.e, self.d, self.solver_cmd, self.profile = e, d, solver_cmd, \
-            profile
+    def __init__(self, e: ex.Expr, d: DomainConfig,
+                 solver: SolverSession | str, profile: str = "bv",
+                 emit_dir: str | Path | None = None, var_name: str = "e",
+                 stats: dict | None = None):
+        self.e, self.d, self.solver, self.profile = e, d, solver, profile
+        self.prefix: Prefix | None = None   # rendered by the first step
         self.emit_dir, self.var_name, self.stats = emit_dir, var_name, stats
         m = d.bits * len(ex.rvars(e))
         self.copies = 1 << m
@@ -363,7 +550,8 @@ class GapSearch:
         copies = self.copies
         t = max(self.lo, self.hi - (1 << (self.left - 1)))
         q = Fraction(copies - t, copies)
-        query = encode_psi(self.e, q, self.d, self.profile)
+        query = encode_psi(self.e, q, self.d, self.profile, self.prefix)
+        self.prefix = query.prefix
         if self.emit_dir is not None:
             emit_query(self.emit_dir, self.var_name, query)
         timeout = None
@@ -371,7 +559,7 @@ class GapSearch:
             timeout = deadline - time.monotonic()
             if timeout <= 0:
                 raise InconclusiveSolver("deadline exhausted before query")
-        verdict = check_sat(query, self.solver_cmd, timeout)
+        verdict = check_sat(query, self.solver, timeout)
         if self.stats is not None:
             self.stats["queries"] += 1
         if verdict.kind == SAT:
@@ -400,7 +588,7 @@ class GapSearch:
         return Qms(self.copies - self.lo, self.copies, self.witness)
 
 
-def qms_smt(e: ex.Expr, d: DomainConfig, solver_cmd: str,
+def qms_smt(e: ex.Expr, d: DomainConfig, solver: SolverSession | str,
             profile: str = "bv", deadline: float | None = None,
             emit_dir: str | Path | None = None, var_name: str = "e",
             stats: dict | None = None):
@@ -411,7 +599,12 @@ def qms_smt(e: ex.Expr, d: DomainConfig, solver_cmd: str,
     does not replay raises InconclusiveSolver; the caller may fall back
     to exact counting. The witness is the replayed (sigma1, sigma2, c)
     that realises the gap, not necessarily the lexicographically
-    smallest one; it is None when the solver gives no models.
+    smallest one; it is None when the solver gives no models. A solver
+    command gets a session of its own for the search.
     """
-    return GapSearch(e, d, solver_cmd, profile, emit_dir, var_name,
+    if isinstance(solver, str):
+        with SolverSession(solver) as session:
+            return qms_smt(e, d, session, profile, deadline, emit_dir,
+                           var_name, stats)
+    return GapSearch(e, d, solver, profile, emit_dir, var_name,
                      stats).run(deadline)

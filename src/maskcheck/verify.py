@@ -12,7 +12,9 @@ For every internal variable x, in SSA order:
 
 Every stage of every variable shares one RunMemo, created per call and
 dropped on return; each store write tells it to drop the judgements
-derived without that entry.
+derived without that entry. Under the smt engine they share one solver
+session too: one process, started at the first question, answers every
+question of the call and is killed on return.
 
 When the strength is wanted too (qms_compute), step 3 enumerates with
 qms_exact instead of check_si, or runs the solver's gap search to the
@@ -53,7 +55,7 @@ from .errors import (
 from .infer import SDD, SID, UKD, DistType, RunMemo, infer
 from .program import Program, expr_of
 from .reduction import simplify
-from .smt import GapSearch, emit_query, encode_psi
+from .smt import GapSearch, SolverSession, emit_query, encode_psi
 
 ENGINES = ("type-only", "bruteforce", "smt")
 
@@ -161,7 +163,8 @@ def _solve(search: GapSearch, deadline: float | None, note,
 
 def _count_decide(x: str, e_hat: ex.Expr, cfg: EngineConfig,
                   deadline: float | None, notes: list[str],
-                  counted: dict[str, Qms] | None, memo: RunMemo):
+                  counted: dict[str, Qms] | None, memo: RunMemo,
+                  solver: SolverSession):
     """SID/SDD by model counting. Returns (dist, method, witness).
 
     Why the solver or the emitted script was skipped goes to notes.
@@ -176,8 +179,8 @@ def _count_decide(x: str, e_hat: ex.Expr, cfg: EngineConfig,
     whenever e_hat has no randoms.
     """
     if cfg.engine == "smt":
-        search = GapSearch(e_hat, cfg.domain, cfg.solver_cmd,
-                           cfg.smt_profile, cfg.emit_smt_dir, x)
+        search = GapSearch(e_hat, cfg.domain, solver, cfg.smt_profile,
+                           cfg.emit_smt_dir, x)
         try:
             _solve(search, deadline, notes.append, whole=False)
         except (InconclusiveSolver, TooManyCopies) as err:
@@ -218,8 +221,8 @@ def _remember(store: dict[ex.Expr, DistType], memo: RunMemo,
 
 def _classify(p: Program, x: str, cfg: EngineConfig,
               store: dict[ex.Expr, DistType], memo: RunMemo,
-              hats: dict[str, ex.Expr],
-              counted: dict[str, Qms] | None) -> VariableVerdict:
+              hats: dict[str, ex.Expr], counted: dict[str, Qms] | None,
+              solver: SolverSession) -> VariableVerdict:
     started = time.monotonic()
     deadline = _deadline(cfg)
     notes: list[str] = []
@@ -245,7 +248,7 @@ def _classify(p: Program, x: str, cfg: EngineConfig,
                                    elapsed=time.monotonic() - started)
 
         dist, method, witness = _count_decide(x, e_hat, cfg, deadline, notes,
-                                              counted, memo)
+                                              counted, memo, solver)
         _remember(store, memo, dist, e, e_hat)
         return VariableVerdict(x, dist, method, ("counted",), witness=witness,
                                note="; ".join(notes) or None,
@@ -262,21 +265,23 @@ def _walk(p: Program, cfg: EngineConfig, strength: bool) -> Report:
     """Classify every internal variable; with `strength`, counting keeps
     the Qms of each variable it enumerates in Report.counted, and every
     variable then gets its strength. One RunMemo serves the whole walk
-    and is dropped on return."""
+    and is dropped on return; so does one solver session, whose process,
+    if a question started one, is killed on return, even by an error."""
     started = time.monotonic()
     store: dict[ex.Expr, DistType] = {}
     memo = RunMemo(cfg.domain)
     hats: dict[str, ex.Expr] = {}
     counted: dict[str, Qms] = {}
-    verdicts = [_classify(p, x, cfg, store, memo, hats,
-                          counted if strength else None)
-                for x in p.internals]
-    report = Report(p.name, cfg.domain.bits, cfg.domain.poly, verdicts,
-                    elapsed=time.monotonic() - started, reduced=hats,
-                    counted=counted)
-    if strength:
-        for v in verdicts:
-            _strength(p, v, cfg, report, memo)
+    with SolverSession(cfg.solver_cmd) as solver:
+        verdicts = [_classify(p, x, cfg, store, memo, hats,
+                              counted if strength else None, solver)
+                    for x in p.internals]
+        report = Report(p.name, cfg.domain.bits, cfg.domain.poly, verdicts,
+                        elapsed=time.monotonic() - started, reduced=hats,
+                        counted=counted)
+        if strength:
+            for v in verdicts:
+                _strength(p, v, cfg, report, memo, solver)
     return report
 
 
@@ -286,7 +291,8 @@ def pm_check(p: Program, cfg: EngineConfig) -> Report:
 
 
 def _strength(p: Program, v: VariableVerdict, cfg: EngineConfig,
-              report: Report, memo: RunMemo) -> None:
+              report: Report, memo: RunMemo,
+              solver: SolverSession) -> None:
     if v.dist is UKD:
         return  # inconclusive: no strength claim
     deadline = _deadline(cfg)
@@ -311,7 +317,7 @@ def _strength(p: Program, v: VariableVerdict, cfg: EngineConfig,
     # a Qms had its search end early, which the verdict already notes
     if qms is None and cfg.engine == "smt" and v.method != METHOD_COUNT_SMT:
         try:
-            qms = _solve(GapSearch(e_hat, cfg.domain, cfg.solver_cmd,
+            qms = _solve(GapSearch(e_hat, cfg.domain, solver,
                                    cfg.smt_profile, cfg.emit_smt_dir, v.name),
                          deadline, lambda text: _add_note(v, text))
         except (InconclusiveSolver, SolverSpawnFailure, TooManyCopies,

@@ -13,16 +13,17 @@ FRAGMENT_SOLVER = TESTS_DIR / "fragment_solver.py"
 def find_solver() -> str | None:
     """Solver command for SMT round-trips, or None if nothing usable.
 
-    Preference order: MASKCHECK_SOLVER from the environment, a real
-    solver on PATH, then the bundled brute-force fragment checker.
+    Preference order: MASKCHECK_SOLVER from the environment, `z3 -in`
+    when z3 is on PATH, then the bundled brute-force fragment checker.
+    The command must answer SMT-LIB2 commands on stdin; no other binary
+    is looked for, since its stdin flag cannot be checked without it.
     """
     env = os.environ.get("MASKCHECK_SOLVER")
     if env:
         return env
-    for binary in ("z3", "cvc5", "bitwuzla", "boolector"):
-        found = shutil.which(binary)
-        if found:
-            return found
+    found = shutil.which("z3")
+    if found:
+        return f"{found} -in"
     if FRAGMENT_SOLVER.exists():
         return f"{sys.executable} {FRAGMENT_SOLVER}"
     return None
@@ -55,3 +56,19 @@ def stub_solver(tmp_path, name, body) -> str:
     path.write_text(f"#!/bin/sh\n{body}\n")
     path.chmod(path.stat().st_mode | stat.S_IXUSR)
     return str(path)
+
+
+def logged_solver(tmp_path) -> tuple[str, Path]:
+    """(command, log): the fragment solver on stdin, logging the pid of
+    each process started."""
+    log = tmp_path / "starts.log"
+    cmd = stub_solver(tmp_path, "logged.sh",
+                      f"echo $$ >> {log}\n"
+                      f"exec {sys.executable} {FRAGMENT_SOLVER}")
+    return cmd, log
+
+
+def starts(log) -> list[int]:
+    """The pids a logged_solver log holds."""
+    return [int(pid) for pid in log.read_text().split()] \
+        if log.exists() else []

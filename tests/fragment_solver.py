@@ -8,17 +8,23 @@ A ``get-value`` after ``sat`` prints the first satisfying assignment
 (in the order of the declarations' bits) as ``((name #b...) ...)``;
 after ``unsat`` it prints ``(error "model is not available")``, as z3
 does.
-Supports exactly the SMT-LIB subset the encoder produces: QF_BV plus
-the integer arithmetic of the "int" profile, zero-arity declare-fun,
-define-fun with and without parameters, let, ite, extract,
-zero_extend, and the usual bit-vector operators. Anything else is a
-hard error so drift in the encoder shows up as a test failure, not a
-silent wrong answer.
+Supports exactly the SMT-LIB subset the encoder and the solver session
+produce: QF_BV plus the integer arithmetic of the "int" profile,
+zero-arity declare-fun, define-fun with and without parameters, let,
+ite, extract, zero_extend, the usual bit-vector operators, push, pop,
+echo and exit. Anything else is a hard error so drift in the encoder
+shows up as a test failure, not a silent wrong answer.
 
 Usage: fragment_solver.py FILE.smt2 [FILE2.smt2 ...]
+       fragment_solver.py < COMMANDS
 
-Enumeration is capped at 2^22 assignments; scripts with more free bits
-print ``unknown``.
+With files, each script is decided whole. Without, commands are read
+from stdin and each answer is printed, and flushed, as its command
+arrives, as ``z3 -in`` does; ``echo`` prints its string unquoted.
+
+Enumeration is capped at 2^22 assignments: a file with more free bits
+prints a lone ``unknown``; on stdin, ``check-sat`` answers ``unknown``
+until the ``pop`` of the scope where the free bits grew too wide.
 """
 
 from __future__ import annotations
@@ -40,6 +46,10 @@ def tokenize(text: str):
         if ch == ";":
             while i < n and text[i] != "\n":
                 i += 1
+        elif ch == '"':
+            j = text.index('"', i + 1) + 1
+            out.append(text[i:j])
+            i = j
         elif ch in "()":
             out.append(ch)
             i += 1
@@ -112,19 +122,26 @@ class Evaluator:
         self.free_bits = 0
         self.asserts = []
         self.bound = False   # free constants materialized yet?
+        self.wide = False    # too many free bits to materialize?
         self.hold = None     # where the assertions hold, after check-sat
+        self.scopes = []     # what each open push saved
+
+    def _bind(self):
+        """Materialize the free constants at first use; False if too wide."""
+        if not self.bound and not self.wide:
+            if self.free_bits > MAX_FREE_BITS:
+                self.wide = True
+                return False
+            idx = np.arange(1 << self.free_bits, dtype=np.uint64)
+            for name, width, offset in self.free:
+                self.env[name] = (width,
+                                  (idx >> np.uint64(offset)) & mask(width))
+            self.bound = True
+        return self.bound
 
     def declare(self, name, width):
         self.free.append((name, width, self.free_bits))
         self.free_bits += width
-
-    def bind_free(self):
-        if self.free_bits > MAX_FREE_BITS:
-            return False
-        idx = np.arange(1 << self.free_bits, dtype=np.uint64)
-        for name, width, offset in self.free:
-            self.env[name] = (width, (idx >> np.uint64(offset)) & mask(width))
-        return True
 
     def eval(self, sexp, local):
         if isinstance(sexp, str):
@@ -212,11 +229,27 @@ class Evaluator:
         raise Unsupported(f"operator {op}")
 
     def run_form(self, form):
+        """The line the command prints, or None."""
         if not isinstance(form, list):
             raise Unsupported(f"form {form}")
         head = form[0]
         if head in ("set-logic", "set-option", "set-info", "exit"):
             return None
+        if head == "push":
+            for _ in range(int(form[1]) if len(form) > 1 else 1):
+                self.scopes.append((
+                    dict(self.env), dict(self.funs), list(self.free),
+                    self.free_bits, list(self.asserts), self.bound,
+                    self.wide))
+            return None
+        if head == "pop":
+            for _ in range(int(form[1]) if len(form) > 1 else 1):
+                (self.env, self.funs, self.free, self.free_bits,
+                 self.asserts, self.bound, self.wide) = self.scopes.pop()
+            self.hold = None
+            return None
+        if head == "echo":
+            return form[1].strip('"')
         if head == "declare-fun":
             name, params, sort = form[1], form[2], parse_sort(form[3])
             if params:
@@ -230,22 +263,17 @@ class Evaluator:
             if params:
                 self.funs[name] = ([(p[0], parse_sort(p[1])) for p in params],
                                    body)
-            else:
-                if not self.bound and not self.bind_free():
-                    raise _TooWide()
-                self.bound = True
+            elif self._bind():
                 self.env[name] = self.eval(body, {})
             return None
         if head == "assert":
-            if not self.bound and not self.bind_free():
-                raise _TooWide()
-            self.bound = True
-            self.asserts.append(self.eval(form[1], {})[1])
+            if self._bind():
+                self.asserts.append(self.eval(form[1], {})[1])
             return None
         if head == "check-sat":
-            if not self.bound and not self.bind_free():
-                raise _TooWide()
-            self.bound = True
+            if not self._bind():
+                self.hold = None
+                return "unknown"
             hold = np.ones(1 << self.free_bits, dtype=bool)
             for cond in self.asserts:
                 hold = hold & cond
@@ -266,29 +294,48 @@ class Evaluator:
         raise Unsupported(f"command {head}")
 
 
-class _TooWide(Exception):
-    pass
-
-
 def decide(text: str) -> list[str]:
     """The lines a solver prints for the script: one per check-sat or
     get-value, or a lone ``unknown`` when the script is too wide."""
     ev = Evaluator()
     out = []
     for form in parse_all(tokenize(text)):
-        try:
-            result = ev.run_form(form)
-        except _TooWide:
-            return ["unknown"]
+        result = ev.run_form(form)
         if result is not None:
             out.append(result)
+    if ev.wide:
+        return ["unknown"]
     return out or ["unknown"]
+
+
+def read_forms(lines):
+    """Each complete top-level form of a stream of lines, as it ends."""
+    tokens, depth = [], 0
+    for line in lines:
+        for tok in tokenize(line):
+            tokens.append(tok)
+            depth += (tok == "(") - (tok == ")")
+            if depth == 0:
+                yield parse_all(tokens)[0]
+                tokens = []
+
+
+def serve(lines, out) -> None:
+    """Answer commands as they arrive, flushing each answer."""
+    ev = Evaluator()
+    for form in read_forms(lines):
+        if form == ["exit"]:
+            return
+        result = ev.run_form(form)
+        if result is not None:
+            out.write(result + "\n")
+            out.flush()
 
 
 def main(argv):
     if not argv:
-        print("usage: fragment_solver.py FILE.smt2 ...", file=sys.stderr)
-        return 2
+        serve(sys.stdin, sys.stdout)
+        return 0
     for path in argv:
         with open(path) as handle:
             print("\n".join(decide(handle.read())))

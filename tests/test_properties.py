@@ -26,6 +26,7 @@ that contain earlier forms or their reduced forms.
 import itertools
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -43,8 +44,10 @@ from maskcheck import (
     EngineConfig,
     Qms,
     RunMemo,
+    SolverSession,
     apply_algebraic_laws,
     apply_meta_theorems,
+    check_sat,
     check_si,
     check_uniform,
     counting,
@@ -52,6 +55,7 @@ from maskcheck import (
     effective_variables,
     eliminate_dominated,
     eliminate_ineffective,
+    encode_psi,
     eval_expr,
     eval_vec,
     expr_of,
@@ -64,9 +68,11 @@ from maskcheck import (
     qms_exact,
     qms_smt,
     simplify,
+    smt,
 )
 from maskcheck import expr as ex
 from conftest import replayed_gap
+from fragment_solver import decide
 from randprog import BINOPS, random_expr, random_program
 
 FIXED = (ex.var("k", ex.SECRET), ex.var("k2", ex.SECRET),
@@ -339,7 +345,7 @@ FRAGMENT_SOLVER = \
     f"{sys.executable} {Path(__file__).resolve().parent / 'fragment_solver.py'}"
 
 
-# each query starts a solver process (about 70 ms): few draws, m <= 4
+# each search starts a solver process (about 70 ms): few draws, m <= 4
 @settings(PROPERTY, max_examples=12)
 @given(case=cases(max_bits=2, random_bits=4))
 def test_solver_strength_matches_counting(case):
@@ -354,6 +360,32 @@ def test_solver_strength_matches_counting(case):
         assert replayed_gap(e_hat, d, got.witness) == got.den - got.num
     else:
         assert got.witness is None
+
+
+# one session, each prefix sent once, against a fresh process per
+# threshold and the standalone script decided whole: few draws, m <= 3
+@settings(PROPERTY, max_examples=8)
+@given(case=cases(max_bits=2, random_bits=3),
+       profile=st.sampled_from(["bv", "int"]))
+def test_session_answers_as_a_fresh_solver(case, profile):
+    e, d = case
+    e_hat = simplify(e, d)
+    copies = d.size ** len(ex.rvars(e_hat))
+    prefix = None
+    with SolverSession(FRAGMENT_SOLVER) as session:
+        for t in range(copies + 1):
+            q = Fraction(copies - t, copies)
+            query = encode_psi(e_hat, q, d, profile, prefix)
+            prefix = query.prefix
+            whole = encode_psi(e_hat, q, d, profile)
+            got = check_sat(query, session)
+            fresh = check_sat(whole, FRAGMENT_SOLVER)
+            assert (got.kind, got.model) == (fresh.kind, fresh.model), \
+                (ex.pretty(e_hat), q)
+            lines = decide(whole.text)
+            assert lines[0] == got.kind
+            if got.kind == "sat":
+                assert got.model == smt._parse_model(lines[1])
 
 
 # --- one run memo: shared against fresh --------------------------------------

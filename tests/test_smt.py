@@ -1,5 +1,6 @@
 """SMT encoding, solver driving, and the binary-search strength procedure."""
 
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -7,7 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FRAGMENT_SOLVER, replayed_gap, stub_solver
+from conftest import (
+    FRAGMENT_SOLVER,
+    logged_solver,
+    replayed_gap,
+    starts,
+    stub_solver,
+)
 
 from maskcheck import (
     SAT,
@@ -16,6 +23,7 @@ from maskcheck import (
     InconclusiveSolver,
     Qms,
     ShiftOutOfRange,
+    SolverSession,
     SolverSpawnFailure,
     TooManyCopies,
     binop,
@@ -169,12 +177,6 @@ class TestCheckSat:
         with pytest.raises(SolverSpawnFailure):
             check_sat(query, str(path))
 
-    def test_script_path_is_kept(self, tmp_path, query):
-        cmd = stub_solver(tmp_path, "yes.sh", "echo sat")
-        script = tmp_path / "query.smt2"
-        check_sat(query, cmd, script_path=script)
-        assert script.read_text() == query.text
-
     def test_model_literals(self, tmp_path, query):
         cmd = stub_solver(tmp_path, "model.sh", "cat <<'EOF'\nsat\n"
                           "((k_k #b10)\n (kk_k #x1)\n (c (_ bv3 2)))\nEOF")
@@ -193,10 +195,47 @@ class TestCheckSat:
         assert (got.kind, got.model) == (UNSAT, None)
 
     def test_solver_sees_the_script(self, tmp_path, query):
-        cmd = stub_solver(tmp_path, "head.sh", 'head -c 200 "$1"')
+        # on stdin: produce-models and the logic, the prefix in a scope
+        # of its own, then the threshold in another, and the sentinel
+        sent = ("(set-option :produce-models true)\n(set-logic QF_BV)\n"
+                f"(push 1)\n{query.prefix.shared}"
+                f"(push 1)\n{query.prefix.tail(query.delta)}(pop 1)\n"
+                '(echo "maskcheck-answered")\n')
+        log = tmp_path / "stdin.log"
+        cmd = stub_solver(tmp_path, "head.sh",
+                          f"head -c {len(sent)} > {log}")
         got = check_sat(query, cmd)
-        assert got.kind == UNKNOWN
-        assert got.reason.startswith("; masking-strength query")
+        assert (got.kind, got.reason) == (UNKNOWN, "no output")
+        assert log.read_text() == sent
+
+    def test_stderr_gives_the_reason(self, tmp_path, query):
+        cmd = stub_solver(tmp_path, "moan.sh", "echo 'bad input' >&2")
+        got = check_sat(query, cmd)
+        assert (got.kind, got.reason) == (UNKNOWN, "bad input")
+
+    def test_stdout_comes_before_stderr(self, tmp_path, query):
+        cmd = stub_solver(tmp_path, "both.sh",
+                          "echo 'bad input' >&2\necho flurble")
+        assert check_sat(query, cmd).reason == "flurble"
+
+    def test_quoted_sentinel(self, tmp_path, query):
+        # a solver that echoes strings with their quotes, and stays up
+        cmd = stub_solver(tmp_path, "quoted.sh",
+                          "echo unsat\necho '\"maskcheck-answered\"'\n"
+                          "exec sleep 30")
+        with SolverSession(cmd) as session:
+            got = check_sat(query, session, timeout=10)
+        assert got.kind == UNSAT
+        assert got.elapsed < 10
+
+    def test_tail_is_only_the_threshold(self, query):
+        tail = encode_psi(binop("&", K, R0), Fraction(1, 4), D2,
+                          prefix=query.prefix)
+        assert (tail.m, tail.delta, tail.prefix) == (2, 3, query.prefix)
+        assert tail.text == query.prefix.tail(3)
+        assert tail.text.startswith("(assert (bvugt sum_c (bvadd (_ bv3 4)")
+        assert tail.script == encode_psi(binop("&", K, R0), Fraction(1, 4),
+                                         D2).text
 
 
 class TestFragmentSolver:
@@ -218,6 +257,100 @@ class TestFragmentSolver:
               for n, kind in names.items()}
         # the assertion: count1[c] - count2[c] > delta
         assert replayed_gap(e, D2, (s1, s2, got.model["c"])) > query.delta
+
+    @pytest.mark.parametrize("e, q, profile", [
+        (X3_N2, 1, "bv"),
+        (X3_N2, Fraction(1, 2), "bv"),
+        (X3_N2, Fraction(1, 2), "int"),
+        (binop("|", binop("&", K, R0), P), Fraction(3, 4), "bv"),
+    ])
+    def test_stdin_answers_as_the_file(self, tmp_path, e, q, profile):
+        query = encode_psi(e, q, D2, profile)
+        path = tmp_path / "query.smt2"
+        path.write_text(query.text)
+        by_file = subprocess.run(
+            [sys.executable, str(FRAGMENT_SOLVER), str(path)],
+            capture_output=True, text=True, check=True).stdout
+        by_stdin = subprocess.run(
+            [sys.executable, str(FRAGMENT_SOLVER)], input=query.text,
+            capture_output=True, text=True, check=True).stdout
+        assert by_stdin == by_file
+        assert by_file.splitlines()[0] == "sat"
+
+    def test_pop_drops_what_its_scope_declared(self):
+        script = """(push 1)
+(declare-fun a () (_ BitVec 2))
+(define-fun b () (_ BitVec 2) (bvadd a #b01))
+(assert (= b #b00))
+(check-sat)
+(get-value (a))
+(pop 1)
+(echo "between")
+(declare-fun a () (_ BitVec 3))
+(assert (= a #b111))
+(check-sat)
+(get-value (a))
+(get-value (b))
+"""
+        got = subprocess.run(
+            [sys.executable, str(FRAGMENT_SOLVER)], input=script,
+            capture_output=True, text=True)
+        # the second a is three bits wide; b went with its scope
+        assert got.stdout.splitlines() == [
+            "sat", "((a #b11))", "between", "sat", "((a #b111))"]
+        assert "atom b" in got.stderr
+
+    def test_too_wide_scope_answers_unknown_until_its_pop(self):
+        wide = "".join(f"(declare-fun w{i} () (_ BitVec 8))\n"
+                       for i in range(3))
+        script = (f"(push 1)\n{wide}(assert (= w0 w1))\n(check-sat)\n"
+                  "(pop 1)\n(declare-fun a () (_ BitVec 2))\n"
+                  "(assert (= a #b10))\n(check-sat)\n(exit)\n"
+                  "(check-sat)\n")
+        got = subprocess.run(
+            [sys.executable, str(FRAGMENT_SOLVER)], input=script,
+            capture_output=True, text=True, check=True)
+        assert got.stdout.splitlines() == ["unknown", "sat"]
+
+
+class TestSolverSession:
+    def test_one_process_for_many_prefixes(self, tmp_path):
+        cmd, log = logged_solver(tmp_path)
+        with SolverSession(cmd) as session:
+            for e in (X3_N2, binop("&", K, R0), X3_N2):
+                prefix = encode_psi(e, 1, D2).prefix
+                for q in (1, Fraction(1, 2), Fraction(1, 4), 0):
+                    got = check_sat(encode_psi(e, q, D2, prefix=prefix),
+                                    session)
+                    fresh = check_sat(encode_psi(e, q, D2), cmd)
+                    assert (got.kind, got.model) == \
+                        (fresh.kind, fresh.model), (ex.pretty(e), q)
+        # one start per one-shot check_sat, and one for the session
+        assert len(starts(log)) == 3 * 4 + 1
+
+    def test_a_process_that_exits_is_started_again(self, tmp_path):
+        # each start logs the first lines it reads: the prefix comes again
+        log = tmp_path / "starts.log"
+        cmd = stub_solver(tmp_path, "once.sh",
+                          f"echo start >> {log}\nhead -n 4 >> {log}\n"
+                          "echo sat")
+        query = encode_psi(X3_N2, 1, D2)
+        with SolverSession(cmd) as session:
+            for _ in range(2):
+                assert check_sat(query, session).kind == SAT
+        starts = log.read_text().split("start\n")[1:]
+        assert len(starts) == 2
+        assert starts[0] == starts[1]
+        assert starts[0].splitlines()[2:] == [
+            "(push 1)", query.prefix.shared.splitlines()[0]]
+
+    def test_a_new_logic_starts_a_new_process(self, tmp_path):
+        cmd, log = logged_solver(tmp_path)
+        with SolverSession(cmd) as session:
+            for profile in ("bv", "int", "int"):
+                query = encode_psi(X3_N2, Fraction(1, 2), D2, profile)
+                assert check_sat(query, session).kind == SAT
+        assert len(starts(log)) == 2
 
 
 class TestQmsSmt:

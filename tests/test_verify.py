@@ -1,5 +1,6 @@
 """Whole-program verification: verdicts, strength, serialization."""
 
+import os
 import sys
 import time
 from fractions import Fraction
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FRAGMENT_SOLVER, stub_solver
+from conftest import FRAGMENT_SOLVER, logged_solver, starts, stub_solver
 
 from maskcheck import (
     ENGINES,
@@ -76,8 +77,8 @@ class TestEngineConfig:
             EngineConfig(D8, engine="smt")
 
     def test_smt_with_solver_ok(self):
-        cfg = EngineConfig(D8, engine="smt", solver_cmd="z3 -smt2")
-        assert cfg.solver_cmd == "z3 -smt2"
+        cfg = EngineConfig(D8, engine="smt", solver_cmd="z3 -in")
+        assert cfg.solver_cmd == "z3 -in"
 
 
 EXPECTED_CUBE = {
@@ -383,11 +384,11 @@ class TestSolverSearch:
         offset = [0.0]
         real_monotonic, real_check_sat = time.monotonic, smt.check_sat
 
-        def slow_check_sat(query, cmd, timeout=None, script_path=None):
+        def slow_check_sat(query, solver, timeout=None):
             offset[0] += 0.6
             if timeout is not None and timeout < 0.6:
                 return smt.SolverVerdict(smt.UNKNOWN, "timeout")
-            return real_check_sat(query, cmd, timeout, script_path)
+            return real_check_sat(query, solver, timeout)
 
         monkeypatch.setattr(time, "monotonic",
                             lambda: real_monotonic() + offset[0])
@@ -415,24 +416,98 @@ class TestSolverSearch:
 
     def test_fallback_asks_the_solver_once(self, cube, tmp_path):
         # 24 free bits at 8 bits: the fragment solver answers unknown;
-        # the stub logs the first line of every script it is given
-        log = tmp_path / "queries.log"
+        # each start logs every line it reads, before passing it on
         cmd = stub_solver(tmp_path, "logged.sh",
-                          f'head -n 1 "$1" >> {log}\nexec {self.CMD} "$1"')
+                          f'sed -u "w {tmp_path}/stdin.$$.log" | '
+                          f'exec {self.CMD}')
         cfg = EngineConfig(D8, engine="smt", solver_cmd=cmd)
         report = qms_compute(cube, cfg)
         by_name = {v.name: v for v in report.verdicts}
         checked = {v.name: v for v in pm_check(cube, cfg).verdicts}
-        scripts = log.read_text().splitlines()
-        assert len(scripts) == 4  # x2 and x3, once in each report
+        logs = list(tmp_path.glob("stdin.*.log"))
+        assert len(logs) == 2  # one solver process per report
+        sent = "".join(log.read_text() for log in logs)
+        assert sent.count("(check-sat)") == 4  # x2 and x3, in each report
         for name in ("x2", "x3"):
             v = by_name[name]
-            e_hat = pretty(report.reduced[name])
-            assert sum(e_hat in s for s in scripts) == 2, name
+            prefix = smt.encode_psi(report.reduced[name], 1, D8).prefix
+            assert sent.count(prefix.shared) == 2, name
             assert (v.method, v.qms.fraction) == \
                 (METHOD_COUNT_BF, Fraction(253, 256)), name
             assert v.note.count("solver fallback") == 1, name
             assert v.note == checked[name].note, name
+
+
+def alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class TestSolverProcesses:
+    """One solver process per run, started at the first question and
+    killed on return."""
+
+    CMD = f"{sys.executable} {FRAGMENT_SOLVER}"
+
+    def test_one_start_for_every_question_of_a_run(self, cube, tmp_path,
+                                                     searches):
+        cmd, log = logged_solver(tmp_path)
+        report = qms_compute(cube, EngineConfig(D2, engine="smt",
+                                                solver_cmd=cmd))
+        assert sum(queries_by_name(report, searches).values()) == 4
+        (pid,) = starts(log)
+        assert not alive(pid)
+
+    def test_a_run_the_rules_settle_starts_none(self, secmult, tmp_path):
+        cmd, log = logged_solver(tmp_path)
+        cfg = EngineConfig(D2, engine="smt", solver_cmd=cmd)
+        for check in (pm_check, qms_compute):
+            assert {v.method for v in check(secmult, cfg).verdicts} <= \
+                {METHOD_TYPE, METHOD_REDUCED}
+        assert starts(log) == []
+
+    def test_no_solver_outlives_a_run_that_raises(self, cube, tmp_path,
+                                                 monkeypatch):
+        cmd, log = logged_solver(tmp_path)
+
+        def fail(*args):
+            raise RuntimeError("replay failed")
+
+        monkeypatch.setattr(smt, "_replay", fail)
+        with pytest.raises(RuntimeError, match="replay failed"):
+            pm_check(cube, EngineConfig(D2, engine="smt", solver_cmd=cmd))
+        (pid,) = starts(log)
+        assert not alive(pid)
+
+    def test_a_hung_question_times_out_and_the_next_starts_afresh(
+            self, cube, tmp_path):
+        # the first start never answers: x2's question takes all of its
+        # deadline, and x3 gets a new process
+        mark = tmp_path / "hung"
+        cmd = stub_solver(
+            tmp_path, "hang_once.sh",
+            f"if [ ! -e {mark} ]; then touch {mark}; exec sleep 30; fi\n"
+            f"exec {self.CMD}")
+        cfg = EngineConfig(D2, engine="smt", solver_cmd=cmd, var_timeout=1.0)
+        by_name = {v.name: v for v in pm_check(cube, cfg).verdicts}
+        assert (by_name["x2"].method, by_name["x2"].note) == (
+            METHOD_INCONCLUSIVE,
+            "solver fallback: solver answered unknown (timeout); "
+            "VariableTimeout: per-variable deadline exceeded")
+        assert (by_name["x3"].method, by_name["x3"].note) == \
+            (METHOD_COUNT_SMT, None)
+
+    def test_spawn_failure_is_noted_on_every_counted_variable(self, cube):
+        cfg = EngineConfig(D2, engine="smt", solver_cmd="/no/such/solver")
+        notes = {v.name: v.note for v in pm_check(cube, cfg).verdicts
+                 if v.method == METHOD_INCONCLUSIVE}
+        assert sorted(notes) == ["x2", "x3"]
+        for note in notes.values():
+            assert note.startswith("SolverSpawnFailure: cannot run "
+                                   "'/no/such/solver': ")
 
 
 # y needs 2^24 solver copies and 2^32 evaluations at 8 bits
