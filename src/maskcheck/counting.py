@@ -14,9 +14,10 @@ each value appears. On top of that:
 One enumerator, `_Space`, answers every question: the assignments to
 its row variables by the assignments to its column variables, other
 variables fixed, evaluated in blocks of at most _CHUNK_CELLS cells
-(whole rows while a row fits, column slices of a wider row). `_digits`
-turns an index into values, first name most significant, so index
-order is lexicographic order.
+(whole rows while a row fits, column slices of a wider row); values
+are `d.dtype` arrays, one byte a cell up to 8 bits. `_digits` turns an
+index into values, first name most significant, so index order is
+lexicographic order.
 
 Counting makes every secret and public of e, sorted by name, index the
 sigma rows, and its randoms the columns. It does not ask which
@@ -112,13 +113,13 @@ def _digits(index, names, d: DomainConfig) -> dict:
     """Values of `names` encoded in `index`, the first name most significant.
 
     `index` is an int (values are ints) or a uint64 array (values are
-    uint32 arrays of its shape).
+    `d.dtype` arrays of its shape).
     """
     vector = isinstance(index, np.ndarray)
     values = {}
     for i, name in enumerate(names):
         value = (index >> d.bits * (len(names) - 1 - i)) & d.mask
-        values[name] = value.astype(np.uint32) if vector else value
+        values[name] = value.astype(d.dtype) if vector else value
     return values
 
 
@@ -134,7 +135,7 @@ class _Space:
         self.d = d
         self.rows = rows
         self.cols = cols
-        self.fixed = {n: np.uint32(v & d.mask) for n, v in fixed.items()}
+        self.fixed = {n: d.dtype(v & d.mask) for n, v in fixed.items()}
         self.S = d.size ** len(rows)
         self.F = d.size ** len(cols)
         self.step = max(1, _CHUNK_CELLS // self.F)   # whole rows per block
@@ -152,6 +153,10 @@ class _Space:
         cells; a row wider than that comes in column slices.
         """
         width = min(self.F, _CHUNK_CELLS)
+        # a row that fits one slice has one set of column values, made
+        # once (at most _CHUNK_CELLS bytes per column at 8 bits); a
+        # wider row's slices are made per block and die with the call
+        whole = self._columns(0, width) if width == self.F else None
         for r0 in range(lo, hi, self.step):
             r1 = min(r0 + self.step, hi)
             row_env = _digits(np.arange(r0, r1, dtype=np.uint64)[:, None],
@@ -159,11 +164,9 @@ class _Space:
             for f0 in range(0, self.F, width):
                 f1 = min(f0 + width, self.F)
                 _check_deadline(deadline)
-                # the column values die with this call, not at the next
-                # block, so they add nothing to what the consumer holds
                 env = {**self.fixed, **row_env,
-                       **_digits(np.arange(f0, f1, dtype=np.uint64)[None, :],
-                                 self.cols, self.d)}
+                       **(whole if whole is not None
+                          else self._columns(f0, f1))}
                 if self.kept is None:
                     values = ex.eval_vec(e, env, self.d)
                 else:
@@ -175,6 +178,10 @@ class _Space:
                     self.kept[layout] = {e: values}
                 del env
                 yield r0, f0, np.broadcast_to(values, (r1 - r0, f1 - f0))
+
+    def _columns(self, f0: int, f1: int) -> dict:
+        return _digits(np.arange(f0, f1, dtype=np.uint64)[None, :],
+                       self.cols, self.d)
 
 
 def _sigma_space(e: ex.Expr, d: DomainConfig, budget: int, memo=None):
@@ -199,7 +206,7 @@ def _counts_matrix(e, d, space, jobs, deadline):
     """(S x 2^bits) count matrix, or per-sigma values when F == 1."""
     V = d.size
     if space.F == 1:
-        target = np.empty(space.S, dtype=np.uint32)
+        target = np.empty(space.S, dtype=d.dtype)
     else:
         if space.S * V > _MATRIX_CELL_CAP:
             raise BudgetExceeded(
@@ -216,10 +223,14 @@ def _counts_matrix(e, d, space, jobs, deadline):
             if space.F == 1:
                 target[r0:r1] = block[:, 0]
             else:
-                rows = np.arange(r1 - r0, dtype=np.int64)[:, None]
-                flat = (rows * V + block.astype(np.int64)).ravel()
+                # one index row * V + value per cell; uint16 while it
+                # fits, else the intp bincount counts in, which spares
+                # it a second, converted copy
+                bins = (r1 - r0) * V
+                index = np.uint16 if bins <= 1 << 16 else np.intp
+                rows = np.arange(0, bins, V, dtype=index)[:, None]
                 target[r0:r1] += np.bincount(
-                    flat, minlength=(r1 - r0) * V).reshape(
+                    (rows + block).ravel(), minlength=bins).reshape(
                         r1 - r0, V).astype(np.uint32)
 
     if jobs > 1 and len(spans) > 1:

@@ -45,6 +45,12 @@ class DomainConfig:
         """Number of elements in the domain."""
         return 1 << self.bits
 
+    @property
+    def dtype(self) -> type:
+        """The narrowest unsigned numpy type holding a value: uint8 up to
+        8 bits, uint16 up to MAX_BITS."""
+        return np.uint8 if self.bits <= 8 else np.uint16
+
     def __str__(self) -> str:
         return f"GF(2^{self.bits}) mod {self.poly:#x}"
 
@@ -127,8 +133,8 @@ def gf_table(d: DomainConfig) -> np.ndarray:
         if d.bits > 8:
             raise ValueError("multiplication table only cached up to 8 bits")
         size = d.size
-        a = np.arange(size, dtype=np.uint32)[:, None]
-        b = np.arange(size, dtype=np.uint32)[None, :]
+        a = np.arange(size, dtype=d.dtype)[:, None]
+        b = np.arange(size, dtype=d.dtype)[None, :]
         table = gf_mul_vec(np.broadcast_to(a, (size, size)),
                            np.broadcast_to(b, (size, size)), d, _direct=True)
         table.setflags(write=False)
@@ -138,24 +144,27 @@ def gf_table(d: DomainConfig) -> np.ndarray:
 
 def gf_mul_vec(a: np.ndarray, b: np.ndarray, d: DomainConfig,
                _direct: bool = False) -> np.ndarray:
-    """Elementwise GF multiply on uint32 arrays of domain values.
+    """Elementwise GF multiply; values are `d.dtype` arrays.
 
     Operands must lie in [0, 2**bits), as eval_vec always gives. Narrow
     domains gather from the cached table, flattened so that one index
-    (a << bits) | b replaces numpy's slower two-array indexing; wider
-    ones use an unrolled shift-and-xor product followed by modular
-    reduction.
+    (a << bits) | b replaces numpy's slower two-array indexing; only
+    that index is widened, to uint16, since a << bits overflows a
+    uint8. Wider ones use an unrolled shift-and-xor product in uint32
+    (it has up to 2*bits - 1 bits) followed by modular reduction.
     """
     if d.bits <= 8 and not _direct:
-        return gf_table(d).ravel()[(a << d.bits) | b]
+        index = np.left_shift(a, d.bits, dtype=np.uint16) | b
+        return gf_table(d).ravel()[index]
     n = d.bits
     zero = np.uint32(0)
+    wide = b.astype(np.uint32)
     prod = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint32)
     for i in range(n):
-        prod ^= np.where((a >> i) & 1, b.astype(np.uint32) << np.uint32(i), zero)
+        prod ^= np.where((a >> i) & 1, wide << np.uint32(i), zero)
     for j in range(2 * n - 2, n - 1, -1):
         prod ^= np.where((prod >> j) & 1, np.uint32(d.poly << (j - n)), zero)
-    return prod & np.uint32(d.mask)
+    return (prod & np.uint32(d.mask)).astype(d.dtype)
 
 
 def eval_op(op: str, a: int, b: int | None, d: DomainConfig) -> int:

@@ -313,16 +313,20 @@ _WRAPPING_OPS = ("+", "-", "*")
 
 def eval_vec(e: Expr, env: dict[str, np.ndarray], d: DomainConfig,
              kept: dict[Expr, np.ndarray] | None = None) -> np.ndarray:
-    """Evaluate elementwise over numpy uint32 arrays (broadcasting allowed).
+    """Evaluate elementwise; values are `d.dtype` arrays (broadcasting
+    allowed).
 
-    Each intermediate array is dropped after its last use, so the live
-    set stays near the widest cut of the expression, not its size.
-    `kept` gives the values of some nodes on this same env: the walk
-    stops at them. Wraparound of +, - and * is the intended modular
-    semantics, so the numpy overflow warning (emitted only for scalar
-    operands) is off.
+    Constants, the mask and shift amounts are `d.dtype` scalars too, so
+    no operand widens the result: on `d.dtype` inputs every value stays
+    `d.dtype`. Each intermediate array is dropped after its last use, so
+    the live set stays near the widest cut of the expression, not its
+    size. `kept` gives the values of some nodes on this same env: the
+    walk stops at them. Wraparound of +, - and * (mod 2^8 or 2^16
+    before the mask) is the intended modular semantics, so the numpy
+    overflow warning (emitted only for scalar operands) is off.
     """
-    mask = np.uint32(d.mask)
+    word = d.dtype
+    mask = word(d.mask)
     kept = kept or {}
     order = postorder(e, kept.__contains__ if kept else None)
     slots: dict[Expr, list] = {}    # node -> [value, uses still to come]
@@ -345,7 +349,7 @@ def eval_vec(e: Expr, env: dict[str, np.ndarray], d: DomainConfig,
             if node in kept:
                 got = kept[node]
             elif isinstance(node, Const):
-                got = np.uint32(node.value & d.mask)
+                got = word(node.value & d.mask)
             elif isinstance(node, Var):
                 got = env[node.name]
             elif isinstance(node, Unary):
@@ -359,9 +363,9 @@ def eval_vec(e: Expr, env: dict[str, np.ndarray], d: DomainConfig,
                         f"shift amount {amount} outside [0, {d.bits})")
                 take(node.right)
                 if node.op == "<<":
-                    got = (take(node.left) << np.uint32(amount)) & mask
+                    got = (take(node.left) << word(amount)) & mask
                 else:
-                    got = take(node.left) >> np.uint32(amount)
+                    got = take(node.left) >> word(amount)
             elif node.op == "@":
                 got = gf_mul_vec(take(node.left), take(node.right), d)
             else:

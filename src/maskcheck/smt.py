@@ -343,7 +343,9 @@ class SolverSession:
     tail and (pop 1), followed by (echo SENTINEL): its answer is the
     stdout lines up to the sentinel, quoted or not. A process that
     exits is started again at the next question, which sends its
-    prefix again; one that overruns a question's timeout is killed.
+    prefix again, and so is one that was kept from an earlier question
+    and ends this one with no output (it exited after its last answer);
+    one that overruns a question's timeout is killed.
     Stderr goes to a temporary file per process, read when stdout gives
     no answer. `close` kills the process; the session can be asked
     again after it.
@@ -427,27 +429,36 @@ class SolverSession:
     def ask(self, query: SmtQuery, timeout: float | None = None
             ) -> SolverVerdict:
         started = time.monotonic()
+        deadline = None if timeout is None else started + timeout
         prefix = query.prefix
         if self._proc is not None and (self._proc.poll() is not None
                                        or self._logic != prefix.logic):
             self.close()
-        text = self._start(prefix.logic) if self._proc is None else ""
-        if self._loaded is not prefix:
-            if self._loaded is not None:
-                text += "(pop 1)\n"
-            text += "(push 1)\n" + prefix.shared
-            self._loaded = prefix
-        text += (f"(push 1)\n{prefix.tail(query.delta)}(pop 1)\n"
-                 f'(echo "{SENTINEL.decode()}")\n')
-        err = self._err.fileno()
-        mark = os.fstat(err).st_size
-        got = self._exchange(text.encode(), None if timeout is None
-                             else started + timeout)
-        elapsed = time.monotonic() - started
-        if got is None:
+        while True:
+            fresh = self._proc is None
+            text = self._start(prefix.logic) if fresh else ""
+            if self._loaded is not prefix:
+                if self._loaded is not None:
+                    text += "(pop 1)\n"
+                text += "(push 1)\n" + prefix.shared
+                self._loaded = prefix
+            text += (f"(push 1)\n{prefix.tail(query.delta)}(pop 1)\n"
+                     f'(echo "{SENTINEL.decode()}")\n')
+            err = self._err.fileno()
+            mark = os.fstat(err).st_size
+            got = self._exchange(text.encode(), deadline)
+            if got is None:
+                self.close()
+                return SolverVerdict(UNKNOWN, "timeout",
+                                     time.monotonic() - started)
+            lines, ended = got
+            if fresh or lines or not ended:
+                break
+            # a process kept from an earlier question ended before it
+            # said anything: it exited after that answer, so the
+            # question goes once more, to a new process
             self.close()
-            return SolverVerdict(UNKNOWN, "timeout", elapsed)
-        lines, ended = got
+        elapsed = time.monotonic() - started
         verdict = _decided(lines, elapsed)
         if verdict is None:
             stderr = os.pread(err, os.fstat(err).st_size - mark, mark)

@@ -321,6 +321,14 @@ class TestCorpus:
         assert run(["corpus", str(tmp_path), "--format", "json"]) == 0
         assert json.loads(capsys.readouterr().out) == []
 
+    @pytest.mark.parametrize("bits", ["8", "2"])
+    def test_qms_json_matches_golden(self, bits, capsys):
+        # every counted verdict, QMS and witness of the bundled corpus
+        assert run(["corpus", str(corpus_dir()), "--qms", "--format",
+                    "json", "--bits", bits]) == 1
+        golden = Path(__file__).parent / "golden" / f"corpus_qms_{bits}.json"
+        assert capsys.readouterr().out.encode() == golden.read_bytes()
+
     def test_jobs_do_not_change_json_bytes(self, capsys):
         run(["corpus", "--format", "json", "--jobs", "1"])
         serial = capsys.readouterr().out

@@ -23,6 +23,7 @@ from maskcheck import (
     check_uniform,
     const,
     corpus_dir,
+    counting,
     distribution,
     eval_expr,
     expr_of,
@@ -292,6 +293,23 @@ class TestResourceLimits:
 
 
 class TestDeterminism:
+    def test_block_size_does_not_change_the_counts(self, monkeypatch):
+        # 2^16 sigma rows by 16 columns: one default block tallies
+        # 2^16 x 16 bins, past uint16, where 2^12-cell blocks need 4096
+        d = make_domain(4)
+        k3, k4 = var("k3", ex.SECRET), var("k4", ex.SECRET)
+        e = xor(binop("+", binop("&", K, R0), K2), binop("@", k3, R0))
+        e = binop("|", e, binop("*", k4, R0))
+        space, _ = counting._sigma_space(e, d, 1 << 20)
+        assert space.step * d.size > 1 << 16
+        whole = counting._counts_matrix(e, d, space, 1, None)
+        monkeypatch.setattr(counting, "_CHUNK_CELLS", 1 << 12)
+        space, _ = counting._sigma_space(e, d, 1 << 20)
+        assert space.step * d.size <= 1 << 16
+        assert np.array_equal(counting._counts_matrix(e, d, space, 1, None),
+                              whole)
+        assert (whole.sum(axis=1) == 16).all()
+
     def test_jobs_do_not_change_the_answer(self):
         d = make_domain(4)
         e = binop("+", xor(binop("&", K, R0), binop("|", K2, R1)),

@@ -186,3 +186,31 @@ def test_eval_vec_frees_intermediates():
     assert out.shape == (side, side)
     assert peak - before < 8 * cell_bytes
     assert after - before < out.nbytes + (1 << 16)
+
+
+def test_eval_vec_frees_intermediates_narrow():
+    # the same chain on uint8 words: each array 1 MB, and no operator,
+    # constant or table gather widens one
+    d = make_domain(8)
+    side = 1 << 10
+    cell_bytes = side * side
+    e = var("k", SECRET)
+    ops = ("^", "@", "+", "*")
+    for i in range(40):
+        right = var("r", RANDOM) if i % 2 else const(3 + i)
+        e = binop(ops[i % 4], e, right)
+    words = (np.arange(side) & 0xFF).astype(np.uint8)
+    env = {"k": words.reshape(side, 1), "r": words.reshape(1, side)}
+    gf_table(d)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = eval_vec(e, env, d)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert out.shape == (side, side) and out.dtype == np.uint8
+    assert peak - before < 8 * cell_bytes
+    assert after - before < out.nbytes + (1 << 16)

@@ -21,6 +21,11 @@ The run-memo properties check that sharing one `RunMemo` across calls
 changes no answer: judgements as the store grows, kept block values
 as the expressions of a run follow one another, and reductions of forms
 that contain earlier forms or their reduced forms.
+
+The word-width properties check that evaluation keeps values in the
+domain's own type (`d.dtype`) at every width and operator, with the
+values a uint32 evaluation and the scalar evaluator give, and that the
+blocks an 8-bit count tallies are bytes.
 """
 
 import itertools
@@ -36,6 +41,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maskcheck import (
+    MAX_BITS,
     METHOD_COUNT_BF,
     RUD,
     SDD,
@@ -59,6 +65,7 @@ from maskcheck import (
     eval_expr,
     eval_vec,
     expr_of,
+    gf_mul_vec,
     infer,
     is_effective,
     make_domain,
@@ -71,6 +78,7 @@ from maskcheck import (
     smt,
 )
 from maskcheck import expr as ex
+from maskcheck.domain import BINARY_OPS, UNARY_OPS
 from conftest import replayed_gap
 from fragment_solver import decide
 from randprog import BINOPS, random_expr, random_program
@@ -504,3 +512,74 @@ def test_kept_blocks_equal_fresh_evaluation(jobs, case, data):
     for t in ex.postorder(e):
         got = eval_vec(e, env, d, {t: eval_vec(t, env, d)})
         assert np.array_equal(np.broadcast_to(got, whole.shape), whole)
+
+
+# --- word width -----------------------------------------------------------------
+
+X, Y = ex.var("x", ex.SECRET), ex.var("y", ex.RANDOM)
+
+
+def one_op_forms(op, c, bits):
+    """Each operand shape of op: variables, and constants on either side."""
+    if op == "~":
+        return [ex.neg(X), ex.neg(ex.const(c))]
+    if op in ex.SHIFT_OPS:
+        amount = ex.const(c % bits)
+        return [ex.binop(op, X, amount), ex.binop(op, ex.const(c), amount)]
+    return [ex.binop(op, X, Y), ex.binop(op, X, ex.const(c)),
+            ex.binop(op, ex.const(c), Y)]
+
+
+@pytest.mark.parametrize("bits", range(1, MAX_BITS + 1))
+@settings(PROPERTY, max_examples=10)
+@given(data=st.data())
+def test_eval_vec_keeps_the_domain_width(bits, data):
+    d = make_domain(bits)
+    words = st.lists(st.integers(0, d.mask), min_size=8, max_size=8)
+    x, y = data.draw(words), data.draw(words)
+    c = data.draw(st.integers(0, d.mask))
+    narrow = {"x": np.array(x, dtype=d.dtype),
+              "y": np.array(y, dtype=d.dtype)}
+    wide = {n: v.astype(np.uint32) for n, v in narrow.items()}
+    for op in BINARY_OPS + UNARY_OPS:
+        for e in one_op_forms(op, c, bits):
+            got = eval_vec(e, narrow, d)
+            assert got.dtype == d.dtype, (op, ex.pretty(e))
+            assert np.array_equal(got, eval_vec(e, wide, d))
+            got = np.broadcast_to(got, (8,))
+            for i in range(8):
+                assert int(got[i]) == eval_expr(e, {"x": x[i], "y": y[i]}, d)
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+@settings(PROPERTY, max_examples=10)
+@given(data=st.data())
+def test_gf_mul_paths_keep_the_domain_width(bits, data):
+    d = make_domain(bits)
+    words = st.lists(st.integers(0, d.mask), min_size=16, max_size=16)
+    a = np.array(data.draw(words), dtype=d.dtype)
+    b = np.array(data.draw(words), dtype=d.dtype)
+    table, direct = gf_mul_vec(a, b, d), gf_mul_vec(a, b, d, _direct=True)
+    assert table.dtype == direct.dtype == d.dtype
+    assert np.array_equal(table, direct)
+
+
+def test_counting_blocks_are_bytes_at_8_bits():
+    d = make_domain(8)
+    e = ex.binop("^", K, R0)
+    for op, right in (("&", ex.const(0x5A)), ("|", R1), ("+", ex.const(7)),
+                      ("-", K), ("*", R0), ("@", ex.const(3)),
+                      ("<<", ex.const(1)), (">>", ex.const(2))):
+        e = ex.binop(op, e, right)
+    e = ex.neg(e)
+    seen = set()
+    blocks = counting._Space.blocks
+
+    def spy(space, *args):
+        for r, f, block in blocks(space, *args):
+            seen.add(block.dtype)
+            yield r, f, block
+
+    with mock.patch.object(counting._Space, "blocks", spy):
+        qms_exact(e, d)
+    assert seen == {np.dtype(np.uint8)}

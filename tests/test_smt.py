@@ -36,6 +36,7 @@ from maskcheck import (
     var,
 )
 from maskcheck import expr as ex
+from maskcheck.smt import SENTINEL
 
 K = var("k", ex.SECRET)
 R0 = var("r0", ex.RANDOM)
@@ -343,6 +344,30 @@ class TestSolverSession:
         assert starts[0] == starts[1]
         assert starts[0].splitlines()[2:] == [
             "(push 1)", query.prefix.shared.splitlines()[0]]
+
+    def test_a_process_that_exits_after_its_answer_is_asked_again(
+            self, tmp_path):
+        # the first process answers one question, closes stdout and
+        # lingers, so it still looks alive at the second; later ones are
+        # the fragment solver
+        started = tmp_path / "started"
+        cmd = stub_solver(
+            tmp_path, "lingers.sh",
+            f"if [ -e {started} ]; then echo again >> {started}; "
+            f"exec {sys.executable} {FRAGMENT_SOLVER}; fi\n"
+            f"echo first > {started}\n"
+            "while read -r line; do\n"
+            "  case \"$line\" in '(echo'*) break;; esac\ndone\n"
+            f"echo sat\necho '\"{SENTINEL.decode()}\"'\n"
+            "exec >&-\nsleep 0.5")
+        first = encode_psi(X3_N2, 1, D2)
+        with SolverSession(cmd) as session:
+            assert check_sat(first, session).kind == SAT
+            # gap 3 of 4: "G > 3?" is unsat, which the stub never says
+            got = check_sat(encode_psi(X3_N2, Fraction(1, 4), D2,
+                                       prefix=first.prefix), session)
+        assert got.kind == UNSAT, got.reason
+        assert started.read_text().split() == ["first", "again"]
 
     def test_a_new_logic_starts_a_new_process(self, tmp_path):
         cmd, log = logged_solver(tmp_path)
