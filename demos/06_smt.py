@@ -47,7 +47,7 @@ print(f"e = {pretty(e)} over {d}")
 # The query for threshold q = 1/2. Secrets appear twice (primed and
 # unprimed side), randoms appear once per copy, and the count gap is a
 # popcount comparison over indicator bits.
-query = encode_psi(e, Fraction(1, 2), d, "bv")
+query = encode_psi(e, Fraction(1, 2), d)
 print(f"copies per side = {1 << query.m}, delta = {query.delta} "
       f"({len(query.text.splitlines())} lines of SMT-LIB)")
 print("\n".join(query.text.splitlines()[:7]))
@@ -56,7 +56,7 @@ print("  ...")
 # Only the final assert depends on q. Given the query's prefix, the
 # next threshold renders just its tail, which a solver session sends
 # after the copies it already holds.
-tail = encode_psi(e, Fraction(1, 4), d, "bv", query.prefix)
+tail = encode_psi(e, Fraction(1, 4), d, query.prefix)
 print(f"q = 1/4 after the prefix: {len(tail.text)} bytes, not "
       f"{len(query.text)}")
 print(tail.text, end="")

@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timeout", type=float, default=60.0,
                        help="per-variable seconds, 0 disables (default 60)")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--smt-profile", choices=("bv", "int"), default="bv")
         p.add_argument("--meta-theorems", metavar="FILE", default=None,
                        help="extra rewrite rules, one `lhs => rhs` per line")
         p.add_argument("--timings", action="store_true",
@@ -105,7 +104,6 @@ def _engine_config(args) -> EngineConfig:
         budget=args.budget,
         jobs=args.jobs,
         solver_cmd=args.solver,
-        smt_profile=args.smt_profile,
         var_timeout=args.timeout if args.timeout > 0 else None,
         meta_patterns=patterns,
         emit_smt_dir=args.emit_smt,

@@ -3,10 +3,15 @@
 Values are plain ints in [0, 2**bits). Bitwise ops, modular +,-,* and
 shifts act on the word directly; `@` multiplies in GF(2^bits) modulo an
 irreducible polynomial, so every nonzero element is invertible there.
+
+OPS is the one table of what each operator means. eval_op and gf_mul
+are written apart from it: they are the reference its kernels and
+class labels are tested against.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +30,63 @@ DEFAULT_POLYS = {
     8: 0x11D,       # x^8 + x^4 + x^3 + x^2 + 1
 }
 
-BINARY_OPS = ("^", "&", "|", "+", "-", "*", "@", "<<", ">>")
-UNARY_OPS = ("~",)
+
+@dataclass(frozen=True)
+class Operator:
+    """What one operator means, at every width and modulus. A class
+    label is a law the rules and reductions use (a wrong one makes a
+    verdict unsound); each holds on either side of the operator, and
+    `bijective` is a bijection of each operand, the other fixed."""
+
+    level: int              # binding level, 1 loosest; 0 is prefix `~`
+    smt: str                # SMT-LIB function; gfmul is defined per script
+    kernel: np.ufunc | None     # on d.dtype words; None: gf_mul_vec
+    wraps: bool             # the kernel can leave the word: mask it
+    commutative: bool = False
+    bijective: bool = False
+    product: bool = False   # subject to the masked- and tainted-product rules
+    self_cancelling: bool = False   # e op e = 0
+    idempotent: bool = False        # e op e = e
+    annihilated: bool = False       # 0 op e = 0
+    unit_one: bool = False          # 1 op e = e
+    shift: bool = False     # right operand: a constant amount in [0, bits)
+    # the constants c (masked) for which e -> c op e is a bijection
+    inverted_by: Callable[[int], bool] | None = None
+
+
+OPS = {
+    "<<": Operator(1, "bvshl", np.left_shift, True, shift=True),
+    ">>": Operator(1, "bvlshr", np.right_shift, False, shift=True),
+    "&": Operator(2, "bvand", np.bitwise_and, False, commutative=True,
+                  product=True, idempotent=True, annihilated=True),
+    "|": Operator(2, "bvor", np.bitwise_or, False, commutative=True,
+                  product=True, idempotent=True),
+    "^": Operator(3, "bvxor", np.bitwise_xor, False, commutative=True,
+                  bijective=True, self_cancelling=True),
+    "+": Operator(4, "bvadd", np.add, True, commutative=True,
+                  bijective=True),
+    "-": Operator(4, "bvsub", np.subtract, True, bijective=True,
+                  self_cancelling=True),
+    "*": Operator(5, "bvmul", np.multiply, True, commutative=True,
+                  product=True, annihilated=True, unit_one=True,
+                  inverted_by=lambda c: c & 1 == 1),    # units mod 2^bits
+    "@": Operator(5, "gfmul", None, False, commutative=True, product=True,
+                  annihilated=True, unit_one=True,
+                  inverted_by=lambda c: c != 0),        # units of the field
+    "~": Operator(0, "bvnot", np.invert, True, bijective=True),
+}
+
+BINARY_OPS = tuple(op for op, o in OPS.items() if o.level)
+UNARY_OPS = tuple(op for op, o in OPS.items() if not o.level)
+SHIFT_OPS = tuple(op for op, o in OPS.items() if o.shift)
+COMMUTATIVE = tuple(op for op, o in OPS.items() if o.commutative)
+
+
+def check_shift(amount: int, d: DomainConfig) -> int:
+    """amount, a shift amount that must lie in [0, bits)."""
+    if not 0 <= amount < d.bits:
+        raise ShiftOutOfRange(f"shift amount {amount} outside [0, {d.bits})")
+    return amount
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,15 @@ from itertools import groupby
 
 import numpy as np
 
-from .domain import BINARY_OPS, DomainConfig, eval_op, gf_mul_vec
+from .domain import (
+    BINARY_OPS,
+    OPS,
+    SHIFT_OPS,
+    DomainConfig,
+    check_shift,
+    eval_op,
+    gf_mul_vec,
+)
 from .errors import ShiftOutOfRange
 
 PUBLIC = "public"
@@ -33,13 +41,6 @@ RANDOM = "random"
 INTERNAL = "internal"
 
 VAR_KINDS = (PUBLIC, SECRET, RANDOM, INTERNAL)
-
-# Operator classes. COMMUTATIVE drives both printing-free rule symmetry
-# and rewrite matching; RING_OPS excludes shifts (whose right operand is
-# always a literal amount).
-RING_OPS = ("^", "&", "|", "@", "+", "-", "*")
-SHIFT_OPS = ("<<", ">>")
-COMMUTATIVE = ("^", "&", "|", "@", "+", "*")
 
 
 class Expr:
@@ -306,9 +307,12 @@ def eval_expr(e: Expr, env: dict[str, int], d: DomainConfig) -> int:
     return memo[e]
 
 
-_VEC_OPS = {"^": np.bitwise_xor, "&": np.bitwise_and, "|": np.bitwise_or,
-            "+": np.add, "-": np.subtract, "*": np.multiply}
-_WRAPPING_OPS = ("+", "-", "*")
+def shift_amount(node: Binary, d: DomainConfig) -> int:
+    """The amount of a shift node: a constant in [0, bits), or
+    ShiftOutOfRange."""
+    if not isinstance(node.right, Const):
+        raise ShiftOutOfRange("shift amount must be a constant")
+    return check_shift(node.right.value, d)
 
 
 def eval_vec(e: Expr, env: dict[str, np.ndarray], d: DomainConfig,
@@ -321,9 +325,10 @@ def eval_vec(e: Expr, env: dict[str, np.ndarray], d: DomainConfig,
     `d.dtype`. Each intermediate array is dropped after its last use, so
     the live set stays near the widest cut of the expression, not its
     size. `kept` gives the values of some nodes on this same env: the
-    walk stops at them. Wraparound of +, - and * (mod 2^8 or 2^16
-    before the mask) is the intended modular semantics, so the numpy
-    overflow warning (emitted only for scalar operands) is off.
+    walk stops at them. Each operator's kernel comes from the operator
+    table, masked when it wraps: wraparound of +, - and * (mod 2^8 or
+    2^16 before the mask) is the intended modular semantics, so the
+    numpy overflow warning (emitted only for scalar operands) is off.
     """
     word = d.dtype
     mask = word(d.mask)
@@ -352,25 +357,17 @@ def eval_vec(e: Expr, env: dict[str, np.ndarray], d: DomainConfig,
                 got = word(node.value & d.mask)
             elif isinstance(node, Var):
                 got = env[node.name]
-            elif isinstance(node, Unary):
-                got = ~take(node.operand) & mask
-            elif node.op in SHIFT_OPS:
-                if not isinstance(node.right, Const):
-                    raise ShiftOutOfRange("shift amount must be a constant")
-                amount = node.right.value
-                if not 0 <= amount < d.bits:
-                    raise ShiftOutOfRange(
-                        f"shift amount {amount} outside [0, {d.bits})")
-                take(node.right)
-                if node.op == "<<":
-                    got = (take(node.left) << word(amount)) & mask
-                else:
-                    got = take(node.left) >> word(amount)
-            elif node.op == "@":
-                got = gf_mul_vec(take(node.left), take(node.right), d)
             else:
-                got = _VEC_OPS[node.op](take(node.left), take(node.right))
-                if node.op in _WRAPPING_OPS:
+                op = OPS[node.op]
+                if isinstance(node, Unary):
+                    got = op.kernel(take(node.operand))
+                elif op.kernel is None:
+                    got = gf_mul_vec(take(node.left), take(node.right), d)
+                else:
+                    if op.shift:
+                        shift_amount(node, d)   # the amount is node.right
+                    got = op.kernel(take(node.left), take(node.right))
+                if op.wraps:
                     got &= mask
             slots[node][0] = got
             del got

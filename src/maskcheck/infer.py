@@ -12,6 +12,8 @@ The workhorse is the dominant-variable check: a random r that occurs
 exactly once, reachable from the root through bijective steps only
 (xor, complement, modular add/sub, or a multiplication whose other
 operand is an invertible constant), makes the whole expression uniform.
+Which steps those are, and which rules apply to an operator, is read
+from the operator table (`domain.OPS`).
 
 Rules fire in a fixed priority order and every binary rule is also
 tried with its operands swapped (commutativity of the ring operators),
@@ -40,7 +42,7 @@ import enum
 from dataclasses import dataclass
 
 from . import expr as ex
-from .domain import DomainConfig
+from .domain import OPS, DomainConfig
 
 
 class DistType(enum.Enum):
@@ -71,31 +73,17 @@ class Judgement:
     rule_trace: tuple[str, ...]   # derivation, root rule last
 
 
-# Operators through which uniformity survives unconditionally.
-_BIJECTIVE_OPS = ("^", "+", "-")
-# Multiplications that are bijective when the sibling is an invertible
-# constant: `*` needs an odd constant (units mod 2^bits), `@` any
-# nonzero constant (field).
-_MUL_OPS = ("*", "@")
-_PRODUCT_OPS = ("&", "|", "@", "*")
-
-
-def _const_invertible(c: ex.Const, op: str, d: DomainConfig | None) -> bool:
-    value = c.value if d is None else c.value & d.mask
-    if op == "*":
-        return value & 1 == 1
-    return value != 0
-
-
 def _opaque(node: ex.Expr, d: DomainConfig | None) -> bool:
     """Does uniformity fail to pass up through node from its operands?"""
-    if isinstance(node, ex.Binary) and node.op not in _BIJECTIVE_OPS:
-        # a product with an invertible constant is a bijection of the
-        # other operand; the constant itself holds no random variable
-        return node.op not in _MUL_OPS or not any(
-            isinstance(c, ex.Const) and _const_invertible(c, node.op, d)
-            for c in (node.left, node.right))
-    return False    # complement, and leaves
+    op = OPS[node.op] if isinstance(node, ex.Binary) else None
+    if op is None or op.bijective:
+        return False    # complement, leaves and bijective operators
+    # a product with an invertible constant is a bijection of the other
+    # operand; the constant itself holds no random variable
+    return op.inverted_by is None or not any(
+        isinstance(c, ex.Const)
+        and op.inverted_by(c.value if d is None else c.value & d.mask)
+        for c in (node.left, node.right))
 
 
 class RunMemo:
@@ -205,7 +193,7 @@ def _closed(node: ex.Expr, d: DomainConfig | None,
         return Judgement(node, SDD, ("secret",))
     # e (+) e collapses to a constant
     if isinstance(node, ex.Binary) and node.left is node.right and \
-            node.op in ("^", "-"):
+            OPS[node.op].self_cancelling:
         return Judgement(node, SID, ("self-cancel",))
     return None
 
@@ -220,18 +208,18 @@ def _combined(node: ex.Expr, d: DomainConfig | None,
         if sub.dist is not UKD:
             return Judgement(node, sub.dist, sub.rule_trace + ("complement",))
         return None
-    left, right, op = node.left, node.right, node.op    # leaves never get here
+    left, right, op = node.left, node.right, OPS[node.op]   # never a leaf
     lj, rj = judged[left], judged[right]
     if left is right:
         # e op e is a pointwise function of e
         if at_most_sid(lj.dist):
             return Judgement(node, SID, lj.rule_trace + ("self-op",))
-        if lj.dist is SDD and op in ("&", "|"):
+        if lj.dist is SDD and op.idempotent:
             return Judgement(node, SDD, lj.rule_trace + ("self-absorb",))
 
     both = lj.rule_trace + rj.rule_trace
     # uniform x uniform with a fresh dominant on one side
-    if op in _PRODUCT_OPS and lj.dist is RUD and rj.dist is RUD:
+    if op.product and lj.dist is RUD and rj.dist is RUD:
         if _dominant(left, d, memo) - ex.rvars(right):
             return Judgement(node, SID, both + ("masked-product",))
         if _dominant(right, d, memo) - ex.rvars(left):
@@ -245,7 +233,7 @@ def _combined(node: ex.Expr, d: DomainConfig | None,
     # a bare secret times a freshly-masked uniform: the secret's values
     # 0 and all-ones (1 for `@` and `*`) give a point mass and a uniform
     # distribution; other dependent operands may never take those values
-    if op in _PRODUCT_OPS:
+    if op.product:
         if _is_secret(left) and rj.dist is RUD and \
                 _dominant(right, d, memo) - ex.rvars(left):
             return Judgement(node, SDD, both + ("tainted-product",))

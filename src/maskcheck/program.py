@@ -13,7 +13,8 @@ return list::
 
 Operator precedence climbs through five levels, loosest first:
 shifts, then & and |, then ^, then + and -, then * and @; unary ~
-binds tightest. `#` starts a line comment. Parentheses and `~` nest at
+binds tightest. The levels are those of the operator table
+(`domain.OPS`). `#` starts a line comment. Parentheses and `~` nest at
 most MAX_NESTING deep, the only recursion in the module. Statements
 whose right-hand side uses more than one operator are split into fresh
 `_tN` temporaries so that every stored statement applies at most one
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import expr as ex
-from .domain import DomainConfig
+from .domain import OPS, UNARY_OPS, DomainConfig
 from .errors import (
     NonConstShift,
     NotSSA,
@@ -42,14 +43,6 @@ from .errors import (
 )
 
 MAX_NESTING = 100    # deepest `(`/`~` nesting: the parser recurses on it
-
-_PRECEDENCE = {
-    "<<": 1, ">>": 1,
-    "&": 2, "|": 2,
-    "^": 3,
-    "+": 4, "-": 4,
-    "*": 5, "@": 5,
-}
 
 
 @dataclass(frozen=True)
@@ -98,9 +91,7 @@ class Program:
 
 # --- tokenizer ---------------------------------------------------------------
 
-_SYMBOLS = ("<<", ">>", "^", "&", "|", "+", "-", "*", "@", "~",
-            "(", ")", "{", "}", ",", ";", ":", "=")
-_SINGLE_SYMBOLS = "".join(s for s in _SYMBOLS if len(s) == 1)
+_PUNCTUATION = "(){},;:="
 
 
 @dataclass
@@ -154,16 +145,11 @@ def _tokenize(text: str) -> list[_Token]:
             col += j - i
             i = j
             continue
-        two = text[i:i + 2]
-        if two in ("<<", ">>"):
-            toks.append(_Token("sym", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SINGLE_SYMBOLS:
-            toks.append(_Token("sym", ch, line, col))
-            i += 1
-            col += 1
+        sym = text[i:i + 2] if text[i:i + 2] in OPS else ch
+        if sym in OPS or sym in _PUNCTUATION:
+            toks.append(_Token("sym", sym, line, col))
+            i += len(sym)
+            col += len(sym)
             continue
         raise ParseError(f"unexpected character {ch!r}", line, col)
     toks.append(_Token("eof", "", line, col))
@@ -206,25 +192,25 @@ class _Parser:
         left = self.atom(kinds)
         while True:
             tok = self.peek()
-            prec = _PRECEDENCE.get(tok.text) if tok.kind == "sym" else None
-            if prec is None or prec < min_prec:
+            op = OPS.get(tok.text) if tok.kind == "sym" else None
+            if op is None or op.level < min_prec:  # `~`'s level 0 never binds
                 return left
             self.next()
-            right = self.expression(kinds, prec + 1)
+            right = self.expression(kinds, op.level + 1)
             left = ex.binop(tok.text, left, right)
 
     def atom(self, kinds: dict[str, str]) -> ex.Expr:
         tok = self.peek()
-        if tok.text in ("~", "("):
+        if tok.text == "(" or tok.text in UNARY_OPS:
             if self.depth == MAX_NESTING:
                 self.fail(f"nesting of '(' and '~' deeper than {MAX_NESTING}")
             self.next()
             self.depth += 1
-            if tok.text == "~":
-                inner = ex.neg(self.atom(kinds))
-            else:
+            if tok.text == "(":
                 inner = self.expression(kinds)
                 self.expect(")")
+            else:
+                inner = ex.neg(self.atom(kinds))
             self.depth -= 1
             return inner
         if tok.kind == "num":
@@ -244,7 +230,7 @@ class _Parser:
 def _check_shifts(e: ex.Expr):
     """Shift amounts must be literal constants (checked before splitting)."""
     for node in ex.postorder(e):
-        if isinstance(node, ex.Binary) and node.op in ex.SHIFT_OPS and \
+        if isinstance(node, ex.Binary) and OPS[node.op].shift and \
                 not isinstance(node.right, ex.Const):
             raise NonConstShift(
                 f"shift amount must be a constant, got {ex.pretty(node.right)}")

@@ -5,8 +5,9 @@ Four passes run in a fixed order until nothing changes:
 1. eliminate_ineffective - variables that never influence the value
    (all decided by one `counting.effective_variables` enumeration
    under a bit budget) become 0.
-2. apply_algebraic_laws  - local identities: e^e -> 0, e-e -> 0,
-   annihilators for *, @, &, units for ^, *, @, double complement.
+2. apply_algebraic_laws  - local identities, as the operator table
+   (`domain.OPS`) labels them: e op e -> 0, annihilation by 0, unit 1;
+   besides e ^ 0 -> e and double complement.
 3. eliminate_dominated   - a subexpression dominated by a random r that
    occurs nowhere else collapses to r itself (it is a fresh uniform).
 4. apply_meta_theorems   - pattern table of known equivalences, each
@@ -42,7 +43,7 @@ from __future__ import annotations
 from . import expr as ex
 from .counting import _check_deadline, effective_variables
 from .counting import is_effective  # noqa: F401  re-exported
-from .domain import DomainConfig
+from .domain import OPS, DomainConfig
 from .infer import RunMemo, _run_memo, dominant_vars
 from .program import _Parser, _tokenize
 
@@ -58,10 +59,6 @@ def eliminate_ineffective(e: ex.Expr, d: DomainConfig,
     zeroed = {leaf: ex.ZERO for leaf in ex.var_leaves(e)
               if leaf.name not in effective}
     return ex.substitute(e, zeroed) if zeroed else e
-
-
-_ANNIHILATED = ("*", "@", "&")
-_UNIT_OPS = ("*", "@")
 
 
 def apply_algebraic_laws(e: ex.Expr, memo: RunMemo | None = None) -> ex.Expr:
@@ -89,17 +86,18 @@ def apply_algebraic_laws(e: ex.Expr, memo: RunMemo | None = None) -> ex.Expr:
         e = laws[e]
 
 
-def _match_law(op, left, right):
-    if left is right and op in ("^", "-"):
+def _match_law(symbol, left, right):
+    op = OPS[symbol]
+    if left is right and op.self_cancelling:
         return ex.ZERO
-    if op in _ANNIHILATED and (left is ex.ZERO or right is ex.ZERO):
+    if op.annihilated and (left is ex.ZERO or right is ex.ZERO):
         return ex.ZERO
-    if op == "^":
+    if symbol == "^":
         if right is ex.ZERO:
             return left
         if left is ex.ZERO:
             return right
-    if op in _UNIT_OPS:
+    if op.unit_one:
         if right is ex.ONE:
             return left
         if left is ex.ONE:
@@ -222,7 +220,7 @@ def _match(pattern: ex.Expr, node: ex.Expr, bind: dict) -> bool:
             return True
         bind.clear()
         bind.update(saved)
-        if pattern.op in ex.COMMUTATIVE:
+        if OPS[pattern.op].commutative:
             if _match(pattern.left, node.right, bind) and \
                     _match(pattern.right, node.left, bind):
                 return True

@@ -11,14 +11,14 @@ where f ranges over all 2^m assignments to the random variables
 f assigns, and delta = ceil((1-q) * 2^m). Both program copies share the
 public variables and the probed value c; only the secrets are primed.
 
-The script is byte-deterministic for a given (expression, q, domain,
-profile): fixed sort orders, fixed name mangling (publics/secrets p_*,
-k_*, primed secrets kk_*, copies c_*/d_*, indicators i_*/j_*), and a
+The script is byte-deterministic for a given (expression, q, domain):
+fixed sort orders, fixed name mangling (publics/secrets p_*, k_*,
+primed secrets kk_*, copies c_*/d_*, indicators i_*/j_*), and a
 balanced adder tree, so emitted files can be golden-tested and cached.
 
-Profiles: "bv" sums indicator bit-vectors of width m+2 (wide enough
-that sum + delta never wraps) in logic QF_BV; "int" sums integer
-indicators, for solvers that accept mixed bit-vector/integer scripts.
+Every script is in logic QF_BV. Each operator becomes the SMT-LIB
+function the operator table (`domain.OPS`) names; the indicators are
+bit-vectors of width m+2, wide enough that sum + delta never wraps.
 Every script asks for a model: after (check-sat) it requests the values
 of p_*, k_*, kk_* and c, which check_sat parses when the answer is sat.
 
@@ -53,13 +53,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import expr as ex
-from .domain import DomainConfig
-from .errors import (
-    InconclusiveSolver,
-    ShiftOutOfRange,
-    SolverSpawnFailure,
-    TooManyCopies,
-)
+from .domain import OPS, DomainConfig
+from .errors import InconclusiveSolver, SolverSpawnFailure, TooManyCopies
 
 MAX_COPY_BITS = 16
 
@@ -142,28 +137,21 @@ def _term(order: list[ex.Expr], d: DomainConfig, rand_values: dict[str, int],
                 got = f"kk_{e.name}" if primed else f"k_{e.name}"
             else:
                 got = f"p_{e.name}"
-        elif isinstance(e, ex.Unary):
-            got = f"(bvnot {text[e.operand]})"
-        elif e.op in ex.SHIFT_OPS:
-            if not isinstance(e.right, ex.Const):
-                raise ShiftOutOfRange("shift amount must be a constant")
-            amount = e.right.value
-            if not 0 <= amount < n:
-                raise ShiftOutOfRange(
-                    f"shift amount {amount} outside [0, {n})")
-            fn = "bvshl" if e.op == "<<" else "bvlshr"
-            got = f"({fn} {text[e.left]} {_bv(amount, n)})"
         else:
-            fn = {"^": "bvxor", "&": "bvand", "|": "bvor", "+": "bvadd",
-                  "-": "bvsub", "*": "bvmul", "@": "gfmul"}[e.op]
-            got = f"({fn} {text[e.left]} {text[e.right]})"
+            op = OPS[e.op]
+            if isinstance(e, ex.Unary):
+                got = f"({op.smt} {text[e.operand]})"
+            else:
+                if op.shift:
+                    ex.shift_amount(e, d)   # rendered as the constant e.right
+                got = f"({op.smt} {text[e.left]} {text[e.right]})"
         text[e] = got
     return text[order[-1]]
 
 
-def _balanced_sum(names: list[str], adder: str) -> str:
+def _balanced_sum(names: list[str]) -> str:
     while len(names) > 1:
-        names = [f"({adder} {names[i]} {names[i + 1]})"
+        names = [f"(bvadd {names[i]} {names[i + 1]})"
                  if i + 1 < len(names) else names[i]
                  for i in range(0, len(names), 2)]
     return names[0]
@@ -181,22 +169,14 @@ class Prefix:
     bits: int
     poly: int
     m: int
-    profile: str
     body: str
     sum_c: str              # balanced sums of the i_* and j_* indicators
     sum_d: str
     values: str             # the get-value command
 
-    @property
-    def logic(self) -> str:
-        return "QF_BV" if self.profile == "bv" else "ALL"
-
     def _assert(self, delta: int, sum_c: str, sum_d: str) -> str:
-        if self.profile == "bv":
-            width = self.m + 2
-            return (f"(assert (bvugt {sum_c} "
-                    f"(bvadd {_bv(delta, width)} {sum_d})))\n")
-        return f"(assert (> (- {sum_c} {sum_d}) {delta}))\n"
+        return (f"(assert (bvugt {sum_c} "
+                f"(bvadd {_bv(delta, self.m + 2)} {sum_d})))\n")
 
     def script(self, q: Fraction, delta: int) -> str:
         """The standalone script for one threshold."""
@@ -204,7 +184,7 @@ class Prefix:
                 f"; bits {self.bits}, modulus {self.poly:#x}, "
                 f"copies 2^{self.m}, delta {delta}\n"
                 "(set-option :produce-models true)\n"
-                f"(set-logic {self.logic})\n"
+                "(set-logic QF_BV)\n"
                 + self.body
                 + self._assert(delta, self.sum_c, self.sum_d)
                 + f"(check-sat)\n{self.values}\n")
@@ -212,10 +192,9 @@ class Prefix:
     @property
     def shared(self) -> str:
         """The body with both sums defined once, for a session."""
-        sort = f"(_ BitVec {self.m + 2})" if self.profile == "bv" else "Int"
-        return (self.body
-                + f"(define-fun sum_c () {sort} {self.sum_c})\n"
-                + f"(define-fun sum_d () {sort} {self.sum_d})\n")
+        sort = f"(_ BitVec {self.m + 2})"
+        return (f"{self.body}(define-fun sum_c () {sort} {self.sum_c})\n"
+                f"(define-fun sum_d () {sort} {self.sum_d})\n")
 
     def tail(self, delta: int) -> str:
         """What a session asks for one threshold, after `shared`."""
@@ -223,7 +202,7 @@ class Prefix:
                 + f"(check-sat)\n{self.values}\n")
 
 
-def _prefix(e: ex.Expr, d: DomainConfig, profile: str) -> Prefix:
+def _prefix(e: ex.Expr, d: DomainConfig) -> Prefix:
     n = d.bits
     rand_names = sorted(ex.rvars(e))
     m = n * len(rand_names)
@@ -237,7 +216,8 @@ def _prefix(e: ex.Expr, d: DomainConfig, profile: str) -> Prefix:
 
     lines = []
     order = ex.postorder(e)
-    if any(isinstance(t, ex.Binary) and t.op == "@" for t in order):
+    if any(isinstance(t, ex.Binary) and OPS[t.op].smt == "gfmul"
+           for t in order):
         lines.append(_gfmul_define(d))
     for name in publics:
         lines.append(f"(declare-fun p_{name} () (_ BitVec {n}))")
@@ -257,12 +237,8 @@ def _prefix(e: ex.Expr, d: DomainConfig, profile: str) -> Prefix:
                 f"(define-fun {prefix}_{t} () (_ BitVec {n}) "
                 f"{_term(order, d, rand_values, primed)})")
 
-    if profile == "bv":
-        width = m + 2
-        sort, adder = f"(_ BitVec {width})", "bvadd"
-        one, zero = _bv(1, width), _bv(0, width)
-    else:
-        sort, adder, one, zero = "Int", "+", "1", "0"
+    width = m + 2
+    sort, one, zero = f"(_ BitVec {width})", _bv(1, width), _bv(0, width)
     for t in range(copies):
         lines.append(f"(define-fun i_{t} () {sort} "
                      f"(ite (= c c_{t}) {one} {zero}))")
@@ -272,29 +248,26 @@ def _prefix(e: ex.Expr, d: DomainConfig, profile: str) -> Prefix:
         [f"k_{name}" for name in secrets] + \
         [f"kk_{name}" for name in secrets] + ["c"]
     return Prefix(
-        ex.pretty(e), n, d.poly, m, profile, "\n".join(lines) + "\n",
-        _balanced_sum([f"i_{t}" for t in range(copies)], adder),
-        _balanced_sum([f"j_{t}" for t in range(copies)], adder),
+        ex.pretty(e), n, d.poly, m, "\n".join(lines) + "\n",
+        _balanced_sum([f"i_{t}" for t in range(copies)]),
+        _balanced_sum([f"j_{t}" for t in range(copies)]),
         f"(get-value ({' '.join(names)}))")
 
 
-def encode_psi(e: ex.Expr, q, d: DomainConfig, profile: str = "bv",
+def encode_psi(e: ex.Expr, q, d: DomainConfig,
                prefix: Prefix | None = None) -> SmtQuery:
     """Build the strength-below-q satisfiability script for e.
 
-    With `prefix`, the .prefix of an earlier query for the same e, d and
-    profile, nothing is rendered again but the threshold's tail, which
-    becomes the query's text; without it, the text is the standalone
-    script.
+    With `prefix`, the .prefix of an earlier query for the same e and d,
+    nothing is rendered again but the threshold's tail, which becomes
+    the query's text; without it, the text is the standalone script.
     """
-    if profile not in ("bv", "int"):
-        raise ValueError(f"unknown profile {profile!r}")
     q = Fraction(q)
     if not 0 <= q <= 1:
         raise ValueError(f"q must lie in [0, 1], got {q}")
     whole = prefix is None
     if whole:
-        prefix = _prefix(e, d, profile)
+        prefix = _prefix(e, d)
     # exact for the dyadic thresholds GapSearch asks about;
     # for other q the ceiling errs on the unsatisfiable side
     delta = math.ceil((1 - q) * (1 << prefix.m))
@@ -337,8 +310,8 @@ class SolverSession:
     """One solver process, started at the first question and kept.
 
     The command reads SMT-LIB2 commands on stdin and answers each as it
-    arrives (`z3 -in`). A new process is sent produce-models and the
-    prefix's logic once; a prefix goes once, inside (push 1), and the
+    arrives (`z3 -in`). A new process is sent produce-models and
+    (set-logic QF_BV) once; a prefix goes once, inside (push 1), and the
     next prefix pops it; each question is (push 1), the threshold's
     tail and (pop 1), followed by (echo SENTINEL): its answer is the
     stdout lines up to the sentinel, quoted or not. A process that
@@ -355,7 +328,6 @@ class SolverSession:
         self.cmd = cmd
         self._proc: subprocess.Popen | None = None
         self._err = None        # the process's stderr file
-        self._logic = None      # the logic the process was sent
         self._loaded = None     # the prefix inside the open (push 1)
 
     def __enter__(self) -> SolverSession:
@@ -374,7 +346,7 @@ class SolverSession:
         proc.stdout.close()
         self._err.close()
 
-    def _start(self, logic: str) -> str:
+    def _start(self) -> str:
         """Spawn the process; the commands it needs first."""
         self._err = tempfile.TemporaryFile()
         try:
@@ -386,8 +358,7 @@ class SolverSession:
             raise SolverSpawnFailure(
                 f"cannot run {self.cmd!r}: {err}") from err
         os.set_blocking(self._proc.stdin.fileno(), False)
-        self._logic = logic
-        return f"(set-option :produce-models true)\n(set-logic {logic})\n"
+        return "(set-option :produce-models true)\n(set-logic QF_BV)\n"
 
     def _exchange(self, data: bytes, deadline: float | None):
         """Send data and read stdout: (lines before the sentinel, whether
@@ -431,12 +402,11 @@ class SolverSession:
         started = time.monotonic()
         deadline = None if timeout is None else started + timeout
         prefix = query.prefix
-        if self._proc is not None and (self._proc.poll() is not None
-                                       or self._logic != prefix.logic):
+        if self._proc is not None and self._proc.poll() is not None:
             self.close()
         while True:
             fresh = self._proc is None
-            text = self._start(prefix.logic) if fresh else ""
+            text = self._start() if fresh else ""
             if self._loaded is not prefix:
                 if self._loaded is not None:
                     text += "(pop 1)\n"
@@ -543,10 +513,10 @@ class GapSearch:
     """
 
     def __init__(self, e: ex.Expr, d: DomainConfig,
-                 solver: SolverSession | str, profile: str = "bv",
+                 solver: SolverSession | str,
                  emit_dir: str | Path | None = None, var_name: str = "e",
                  stats: dict | None = None):
-        self.e, self.d, self.solver, self.profile = e, d, solver, profile
+        self.e, self.d, self.solver = e, d, solver
         self.prefix: Prefix | None = None   # rendered by the first step
         self.emit_dir, self.var_name, self.stats = emit_dir, var_name, stats
         m = d.bits * len(ex.rvars(e))
@@ -561,7 +531,7 @@ class GapSearch:
         copies = self.copies
         t = max(self.lo, self.hi - (1 << (self.left - 1)))
         q = Fraction(copies - t, copies)
-        query = encode_psi(self.e, q, self.d, self.profile, self.prefix)
+        query = encode_psi(self.e, q, self.d, self.prefix)
         self.prefix = query.prefix
         if self.emit_dir is not None:
             emit_query(self.emit_dir, self.var_name, query)
@@ -600,7 +570,7 @@ class GapSearch:
 
 
 def qms_smt(e: ex.Expr, d: DomainConfig, solver: SolverSession | str,
-            profile: str = "bv", deadline: float | None = None,
+            deadline: float | None = None,
             emit_dir: str | Path | None = None, var_name: str = "e",
             stats: dict | None = None):
     """Masking strength by a GapSearch run to the end.
@@ -615,7 +585,6 @@ def qms_smt(e: ex.Expr, d: DomainConfig, solver: SolverSession | str,
     """
     if isinstance(solver, str):
         with SolverSession(solver) as session:
-            return qms_smt(e, d, session, profile, deadline, emit_dir,
-                           var_name, stats)
-    return GapSearch(e, d, solver, profile, emit_dir, var_name,
-                     stats).run(deadline)
+            return qms_smt(e, d, session, deadline, emit_dir, var_name,
+                           stats)
+    return GapSearch(e, d, solver, emit_dir, var_name, stats).run(deadline)

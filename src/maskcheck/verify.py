@@ -43,7 +43,7 @@ from pathlib import Path
 
 from . import expr as ex
 from .counting import DEFAULT_BUDGET, Qms, check_si, qms_exact
-from .domain import DomainConfig
+from .domain import OPS, DomainConfig
 from .errors import (
     BudgetExceeded,
     InconclusiveSolver,
@@ -73,7 +73,6 @@ class EngineConfig:
     budget: int = DEFAULT_BUDGET
     jobs: int = 1
     solver_cmd: str | None = None
-    smt_profile: str = "bv"
     var_timeout: float | None = 60.0
     meta_patterns: list | None = None
     emit_smt_dir: str | Path | None = None
@@ -179,8 +178,7 @@ def _count_decide(x: str, e_hat: ex.Expr, cfg: EngineConfig,
     whenever e_hat has no randoms.
     """
     if cfg.engine == "smt":
-        search = GapSearch(e_hat, cfg.domain, solver, cfg.smt_profile,
-                           cfg.emit_smt_dir, x)
+        search = GapSearch(e_hat, cfg.domain, solver, cfg.emit_smt_dir, x)
         try:
             _solve(search, deadline, notes.append, whole=False)
         except (InconclusiveSolver, TooManyCopies) as err:
@@ -196,8 +194,7 @@ def _count_decide(x: str, e_hat: ex.Expr, cfg: EngineConfig,
                 None if witness is None else witness[:2]
     elif cfg.emit_smt_dir is not None:
         try:
-            emit_query(cfg.emit_smt_dir, x, encode_psi(
-                e_hat, 1, cfg.domain, cfg.smt_profile))
+            emit_query(cfg.emit_smt_dir, x, encode_psi(e_hat, 1, cfg.domain))
         except (MaskcheckError, OSError) as err:
             notes.append(f"smt emission skipped: {err}")
     if counted is None:
@@ -266,8 +263,13 @@ def _walk(p: Program, cfg: EngineConfig, strength: bool) -> Report:
     the Qms of each variable it enumerates in Report.counted, and every
     variable then gets its strength. One RunMemo serves the whole walk
     and is dropped on return; so does one solver session, whose process,
-    if a question started one, is killed on return, even by an error."""
+    if a question started one, is killed on return, even by an error.
+    Shift amounts are checked first: whichever stage would reach one out
+    of range, the walk raises ShiftOutOfRange before it starts."""
     started = time.monotonic()
+    for stmt in p.statements:
+        if isinstance(stmt.rhs, ex.Binary) and OPS[stmt.rhs.op].shift:
+            ex.shift_amount(stmt.rhs, cfg.domain)
     store: dict[ex.Expr, DistType] = {}
     memo = RunMemo(cfg.domain)
     hats: dict[str, ex.Expr] = {}
@@ -318,7 +320,7 @@ def _strength(p: Program, v: VariableVerdict, cfg: EngineConfig,
     if qms is None and cfg.engine == "smt" and v.method != METHOD_COUNT_SMT:
         try:
             qms = _solve(GapSearch(e_hat, cfg.domain, solver,
-                                   cfg.smt_profile, cfg.emit_smt_dir, v.name),
+                                   cfg.emit_smt_dir, v.name),
                          deadline, lambda text: _add_note(v, text))
         except (InconclusiveSolver, SolverSpawnFailure, TooManyCopies,
                 OSError) as err:

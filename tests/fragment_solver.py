@@ -9,11 +9,11 @@ A ``get-value`` after ``sat`` prints the first satisfying assignment
 after ``unsat`` it prints ``(error "model is not available")``, as z3
 does.
 Supports exactly the SMT-LIB subset the encoder and the solver session
-produce: QF_BV plus the integer arithmetic of the "int" profile,
-zero-arity declare-fun, define-fun with and without parameters, let,
-ite, extract, zero_extend, the usual bit-vector operators, push, pop,
-echo and exit. Anything else is a hard error so drift in the encoder
-shows up as a test failure, not a silent wrong answer.
+produce: QF_BV with zero-arity declare-fun, define-fun with and without
+parameters, let, ite, extract, zero_extend, the usual bit-vector
+operators, push, pop, echo and exit. Anything else is a hard error so
+drift in the encoder shows up as a test failure, not a silent wrong
+answer.
 
 Usage: fragment_solver.py FILE.smt2 [FILE2.smt2 ...]
        fragment_solver.py < COMMANDS
@@ -92,21 +92,18 @@ class Unsupported(Exception):
 
 
 def parse_sort(sexp):
-    if sexp == "Int":
-        return "int"
     if isinstance(sexp, list) and sexp[:2] == ["_", "BitVec"]:
         return int(sexp[2])
     raise Unsupported(f"sort {sexp}")
 
 
 def literal(tok):
-    """Constant token -> (width|None, value). None width = integer."""
+    """Bit-vector constant token -> (width, value); (None, None) if the
+    token is not one."""
     if tok.startswith("#b"):
         return len(tok) - 2, int(tok[2:], 2)
     if tok.startswith("#x"):
         return (len(tok) - 2) * 4, int(tok[2:], 16)
-    if tok.lstrip("-").isdigit():
-        return None, int(tok)
     return None, None
 
 
@@ -116,7 +113,7 @@ def mask(width):
 
 class Evaluator:
     def __init__(self):
-        self.env = {}        # name -> (width|None, ndarray)
+        self.env = {}        # name -> (width, ndarray); width None: Bool
         self.funs = {}       # name -> (params, body)
         self.free = []       # (name, width, offset)
         self.free_bits = 0
@@ -152,7 +149,7 @@ class Evaluator:
             width, value = literal(sexp)
             if value is None:
                 raise Unsupported(f"atom {sexp}")
-            return width, np.uint64(value) if width is not None else value
+            return width, np.uint64(value)
         head = sexp[0]
         if head == "_":
             if sexp[1].startswith("bv"):
@@ -191,17 +188,6 @@ class Evaluator:
             return None, args[0][1] == args[1][1]
         if op == "bvugt":
             return None, args[0][1] > args[1][1]
-        if op in (">", "<", ">=", "<="):
-            a, b = args[0][1], args[1][1]
-            table = {">": a > b, "<": a < b, ">=": a >= b, "<=": a <= b}
-            return None, table[op]
-        if op == "+":
-            return None, np.asarray(args[0][1], dtype=np.int64) + args[1][1]
-        if op == "-":
-            if len(args) == 1:
-                return None, -np.asarray(args[0][1], dtype=np.int64)
-            return None, (np.asarray(args[0][1], dtype=np.int64)
-                          - np.asarray(args[1][1], dtype=np.int64))
         if op == "bvnot":
             w = args[0][0]
             return w, ~args[0][1] & mask(w)
@@ -217,7 +203,8 @@ class Evaluator:
         if op == "bvadd":
             return width, (a + b) & mask(width)
         if op == "bvsub":
-            return width, (a - b) & mask(width)
+            with np.errstate(over="ignore"):    # wraps below 0, then masked
+                return width, (a - b) & mask(width)
         if op == "bvmul":
             return width, (a * b) & mask(width)
         if op in ("bvshl", "bvlshr"):
@@ -254,8 +241,6 @@ class Evaluator:
             name, params, sort = form[1], form[2], parse_sort(form[3])
             if params:
                 raise Unsupported("declare-fun with parameters")
-            if sort == "int":
-                raise Unsupported("unbounded integer constant")
             self.declare(name, sort)
             return None
         if head == "define-fun":

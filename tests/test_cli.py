@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import FRAGMENT_SOLVER
+
 import maskcheck
 from maskcheck import cli, counting, report_from_dict
 from maskcheck.cli import build_parser, corpus_dir, main, run
@@ -41,6 +43,18 @@ fn Blocks(k: secret, r0: random, r1: random) {
   return y;
 }
 """
+
+
+# at 8 bits both shift by 9: the rules close b, only counting reaches c
+SHIFT_CLOSED = """
+fn S(k: secret, r0: random) {
+  a = k ^ r0;
+  b = a << 9;
+  return b;
+}
+"""
+SHIFT_COUNTED = SHIFT_CLOSED.replace("return b;",
+                                     "c = k << 9;\n  return b, c;")
 
 
 @pytest.fixture
@@ -78,6 +92,20 @@ class TestCheckExitCodes:
         bad.write_text("fn Broken(k: secret) { x = k ^^ k; return x; }")
         assert run(["check", str(bad)]) == 2
         assert "ParseError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["type-only", "bruteforce", "smt"])
+    @pytest.mark.parametrize("text", [SHIFT_CLOSED, SHIFT_COUNTED],
+                             ids=["closed", "counted"])
+    def test_shift_out_of_range_is_a_usage_error(self, tmp_path, capsys,
+                                                  text, engine):
+        # whichever stage would reach the shift, the run never starts
+        path = tmp_path / "shift.mv"
+        path.write_text(text)
+        solver = f"{sys.executable} {FRAGMENT_SOLVER}"
+        assert run(["check", str(path), "--engine", engine,
+                    "--solver", solver]) == 2
+        err = capsys.readouterr().err
+        assert "ShiftOutOfRange: shift amount 9 outside [0, 8)" in err
 
     def test_bad_bits(self, capsys):
         assert run(["check", CUBE, "--bits", "99"]) == 2
@@ -261,13 +289,17 @@ class TestEngineFlags:
     def test_zero_timeout_disables_deadline(self, capsys):
         assert run(["check", SECMULT, "--timeout", "0"]) == 0
 
+    def test_smt_profile_is_gone(self, capsys):
+        # every script is QF_BV: the flag is an unknown argument
+        assert run(["check", SECMULT, "--smt-profile", "bv"]) == 2
+        assert "--smt-profile" in capsys.readouterr().err
+
     def test_parser_defaults(self):
         ns = build_parser().parse_args(["check", "f.mv"])
         assert ns.bits == 8
         assert ns.engine == "bruteforce"
         assert ns.jobs == 1
         assert ns.format == "text"
-        assert ns.smt_profile == "bv"
         assert ns.timeout == 60.0
 
 

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from maskcheck import (
     is_irreducible,
     make_domain,
 )
+from maskcheck.domain import BINARY_OPS, OPS, UNARY_OPS, check_shift
 
 
 def poly_mul_mod(a: int, b: int, poly: int, n: int) -> int:
@@ -203,3 +207,111 @@ class TestEvalOp:
 
     def test_default_poly_table_is_complete(self):
         assert set(DEFAULT_POLYS) == {1, 2, 3, 4, 8}
+
+
+# --- the operator table, against the scalar reference eval_op ------------
+
+def op_table(op, d):
+    """{(a, b): a op b} by eval_op over every operand pair; a shift's
+    right operand is each amount in [0, bits), and `~`'s is None."""
+    words = range(d.size)
+    if op in UNARY_OPS:
+        rights = [None]
+    else:
+        rights = range(d.bits) if OPS[op].shift else words
+    return {(a, b): eval_op(op, a, b, d) for a in words for b in rights}
+
+
+def is_permutation(values, d):
+    return sorted(values) == list(range(d.size))
+
+
+WORD_LAWS = ("commutative", "bijective", "product", "self_cancelling",
+             "idempotent", "annihilated", "unit_one", "inverted_by")
+
+
+@pytest.mark.parametrize("bits", range(1, 5))
+@pytest.mark.parametrize("op", BINARY_OPS)
+def test_operator_classes_hold(op, bits):
+    """Every class the table gives op holds at this width."""
+    d = make_domain(bits)
+    info, t = OPS[op], op_table(op, d)
+    if info.shift:
+        # the right operand is an amount, not a word: no law over words
+        assert not any(getattr(info, law) for law in WORD_LAWS)
+        assert [check_shift(a, d) for a in range(bits)] == list(range(bits))
+        for amount in (-1, bits):
+            with pytest.raises(ShiftOutOfRange):
+                check_shift(amount, d)
+            with pytest.raises(ShiftOutOfRange):
+                eval_op(op, 1, amount, d)
+        return
+    words = range(d.size)
+    rows = [[t[x, y] for y in words] for x in words]
+    columns = [[t[y, x] for y in words] for x in words]
+    if info.commutative:
+        assert rows == columns
+    if info.bijective:
+        assert all(is_permutation(r, d) for r in rows + columns)
+    if info.self_cancelling:
+        assert all(t[x, x] == 0 for x in words)
+    if info.idempotent:
+        assert all(t[x, x] == x for x in words)
+    if info.annihilated:
+        assert rows[0] == columns[0] == [0] * d.size
+    if info.unit_one:
+        assert rows[1] == columns[1] == list(words)
+    if info.product:
+        # the product rules need an operand value that makes the result
+        # constant and another that makes it a bijection of the other
+        assert any(len(set(r)) == 1 for r in rows)
+        assert any(is_permutation(r, d) for r in rows)
+    if info.inverted_by is not None:
+        # exactly the constants it names make op a bijection, either side
+        for c in words:
+            assert is_permutation(rows[c], d) == \
+                is_permutation(columns[c], d) == info.inverted_by(c), c
+
+
+@pytest.mark.parametrize("bits", range(1, 5))
+@pytest.mark.parametrize("op", list(OPS))
+def test_operator_kernels_match_eval_op(op, bits):
+    """A kernel on d.dtype words, masked when the table says it wraps,
+    computes eval_op; one the table says does not wrap stays in range."""
+    d = make_domain(bits)
+    info, t = OPS[op], op_table(op, d)
+    if info.kernel is None:
+        return      # gf_mul_vec, tested against gf_mul above
+    operands = [np.array(side, dtype=d.dtype) for side in zip(*t)
+                if None not in side]
+    with np.errstate(over="ignore"):
+        got = info.kernel(*operands)
+    if info.wraps:
+        got = got & d.dtype(d.mask)
+    assert got.dtype == d.dtype
+    assert got.tolist() == list(t.values())
+    if op in UNARY_OPS:
+        assert is_permutation(got.tolist(), d) == info.bijective
+
+
+GRAMMAR = Path(__file__).resolve().parents[1] / "docs" / "grammar.md"
+
+
+def test_grammar_doc_lists_the_table_levels():
+    """The precedence table in docs/grammar.md names the same operators
+    at the same levels as the operator table."""
+    text = GRAMMAR.read_text().split("## Operators and precedence", 1)[1]
+    levels, unary = {}, []
+    for line in text.splitlines():
+        if not line.startswith("| "):
+            continue
+        cells = [c.strip() for c in
+                 line.replace("\\|", "\0").strip("|").split("|")]
+        ops = [op.replace("\0", "|")
+               for op in re.findall(r"`([^`]+)`", cells[1])]
+        if cells[0] == "unary":
+            unary += ops
+        elif cells[0][:1].isdigit():
+            levels.update((op, int(cells[0].split()[0])) for op in ops)
+    assert levels == {op: OPS[op].level for op in BINARY_OPS}
+    assert tuple(unary) == UNARY_OPS

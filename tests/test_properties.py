@@ -373,9 +373,8 @@ def test_solver_strength_matches_counting(case):
 # one session, each prefix sent once, against a fresh process per
 # threshold and the standalone script decided whole: few draws, m <= 3
 @settings(PROPERTY, max_examples=8)
-@given(case=cases(max_bits=2, random_bits=3),
-       profile=st.sampled_from(["bv", "int"]))
-def test_session_answers_as_a_fresh_solver(case, profile):
+@given(case=cases(max_bits=2, random_bits=3))
+def test_session_answers_as_a_fresh_solver(case):
     e, d = case
     e_hat = simplify(e, d)
     copies = d.size ** len(ex.rvars(e_hat))
@@ -383,9 +382,9 @@ def test_session_answers_as_a_fresh_solver(case, profile):
     with SolverSession(FRAGMENT_SOLVER) as session:
         for t in range(copies + 1):
             q = Fraction(copies - t, copies)
-            query = encode_psi(e_hat, q, d, profile, prefix)
+            query = encode_psi(e_hat, q, d, prefix)
             prefix = query.prefix
-            whole = encode_psi(e_hat, q, d, profile)
+            whole = encode_psi(e_hat, q, d)
             got = check_sat(query, session)
             fresh = check_sat(whole, FRAGMENT_SOLVER)
             assert (got.kind, got.model) == (fresh.kind, fresh.model), \

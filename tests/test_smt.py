@@ -53,7 +53,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 class TestEncode:
     def test_golden_script(self):
-        got = encode_psi(X3_N2, Fraction(1, 2), D2, "bv")
+        got = encode_psi(X3_N2, Fraction(1, 2), D2)
         assert got.text == (GOLDEN / "x3_q1_2.smt2").read_text()
         assert (got.m, got.delta, got.q) == (2, 2, Fraction(1, 2))
 
@@ -78,10 +78,6 @@ class TestEncode:
             encode_psi(K, 2, D2)
         with pytest.raises(ValueError):
             encode_psi(K, -0.5, D2)
-
-    def test_bad_profile(self):
-        with pytest.raises(ValueError):
-            encode_psi(K, 1, D2, "smtlib")
 
     def test_too_many_copies(self):
         e = binop("^", binop("^", R0, R1), var("r2", ex.RANDOM))
@@ -108,13 +104,6 @@ class TestEncode:
         assert "(declare-fun c () (_ BitVec 2))" in text
         # publics are shared between the two copies: no primed form
         assert "pp_p" not in text
-
-    def test_int_profile(self):
-        text = encode_psi(X3_N2, Fraction(1, 2), D2, "int").text
-        assert "(set-logic ALL)" in text
-        assert "(define-fun i_0 () Int" in text
-        assert "(assert (> (- " in text
-        assert "bvugt" not in text
 
     def test_shift_rendering(self):
         text = encode_psi(binop("<<", binop("^", K, R0), const(1)), 1, D2).text
@@ -239,15 +228,19 @@ class TestCheckSat:
                                          D2).text
 
 
+# the ids keep the `-bv` suffix of the cases' earlier names, from when
+# each case also chose an encoding, so test histories stay comparable
+FRAGMENT_CASES = pytest.mark.parametrize("e, q", [
+    (X3_N2, 1),
+    (X3_N2, Fraction(1, 2)),
+    (binop("|", binop("&", K, R0), P), Fraction(3, 4)),
+], ids=["e0-1-bv", "e1-q1-bv", "e3-q3-bv"])
+
+
 class TestFragmentSolver:
-    @pytest.mark.parametrize("e, q, profile", [
-        (X3_N2, 1, "bv"),
-        (X3_N2, Fraction(1, 2), "bv"),
-        (X3_N2, Fraction(1, 2), "int"),
-        (binop("|", binop("&", K, R0), P), Fraction(3, 4), "bv"),
-    ])
-    def test_model_satisfies_the_assertion(self, e, q, profile):
-        query = encode_psi(e, q, D2, profile)
+    @FRAGMENT_CASES
+    def test_model_satisfies_the_assertion(self, e, q):
+        query = encode_psi(e, q, D2)
         got = check_sat(query, f"{sys.executable} {FRAGMENT_SOLVER}")
         assert got.kind == SAT
         names = {v.name: v.kind for v in ex.var_counts(e)
@@ -259,14 +252,9 @@ class TestFragmentSolver:
         # the assertion: count1[c] - count2[c] > delta
         assert replayed_gap(e, D2, (s1, s2, got.model["c"])) > query.delta
 
-    @pytest.mark.parametrize("e, q, profile", [
-        (X3_N2, 1, "bv"),
-        (X3_N2, Fraction(1, 2), "bv"),
-        (X3_N2, Fraction(1, 2), "int"),
-        (binop("|", binop("&", K, R0), P), Fraction(3, 4), "bv"),
-    ])
-    def test_stdin_answers_as_the_file(self, tmp_path, e, q, profile):
-        query = encode_psi(e, q, D2, profile)
+    @FRAGMENT_CASES
+    def test_stdin_answers_as_the_file(self, tmp_path, e, q):
+        query = encode_psi(e, q, D2)
         path = tmp_path / "query.smt2"
         path.write_text(query.text)
         by_file = subprocess.run(
@@ -369,14 +357,6 @@ class TestSolverSession:
         assert got.kind == UNSAT, got.reason
         assert started.read_text().split() == ["first", "again"]
 
-    def test_a_new_logic_starts_a_new_process(self, tmp_path):
-        cmd, log = logged_solver(tmp_path)
-        with SolverSession(cmd) as session:
-            for profile in ("bv", "int", "int"):
-                query = encode_psi(X3_N2, Fraction(1, 2), D2, profile)
-                assert check_sat(query, session).kind == SAT
-        assert len(starts(log)) == 2
-
 
 class TestQmsSmt:
     def test_matches_exact_counting(self, solver_cmd):
@@ -408,10 +388,6 @@ class TestQmsSmt:
         got = qms_smt(e, D2, solver_cmd, stats=stats)
         assert (got.num, got.den) == (16, 16)
         assert stats["queries"] <= stats["m"] + 1 == 5
-
-    def test_int_profile_agrees(self, solver_cmd):
-        got = qms_smt(X3_N2, D2, solver_cmd, profile="int")
-        assert (got.num, got.den) == (1, 4)
 
     def test_emit_dir(self, solver_cmd, tmp_path):
         out = tmp_path / "queries"
