@@ -1,4 +1,4 @@
-"""Exact distribution computation by exhaustive enumeration.
+"""Exact distribution computation: by enumeration, or bit by bit.
 
 For an expression e over publics/secrets (fixed by an assignment sigma)
 and randoms (enumerated exhaustively), `distribution` tallies how often
@@ -11,13 +11,26 @@ each value appears. On top of that:
 * is_effective  - can one variable change the value at all;
                   effective_variables answers for every variable at once
 
-One enumerator, `_Space`, answers every question: the assignments to
-its row variables by the assignments to its column variables, other
-variables fixed, evaluated in blocks of at most _CHUNK_CELLS cells
-(whole rows while a row fits, column slices of a wider row); values
-are `d.dtype` arrays, one byte a cell up to 8 bits. `_digits` turns an
-index into values, first name most significant, so index order is
-lexicographic order.
+One enumerator, `_Space`, answers every question but one kind of
+count: the assignments to its row variables by the assignments to its
+column variables, other variables fixed, evaluated in blocks of at
+most _CHUNK_CELLS cells (whole rows while a row fits, column slices of
+a wider row); values are `d.dtype` arrays, one byte a cell up to 8
+bits. `_digits` turns an index into values, first name most
+significant, so index order is lexicographic order.
+
+The exception is the count matrix of an expression built only from
+leaves, constants and the operators the table (`domain.OPS`) labels
+bitwise (`^ & | ~`) or carrying (`+ -`). Bit i of such an expression
+depends only on bit i of its leaves and on one carry per distinct
+carrying node, so `_bit_serial_counts` counts it one bit position at a
+time, carries as state: per bit, one evaluation over the row bits, the
+carries in and the random bits. It is used when a fixed rule on the
+expression and the domain finds it less work than enumerating S x F
+cells (`_bit_serial_pays`: roughly V x 4^k < F for k carrying nodes)
+and its tensor fits the count-matrix cap. It gives the same S x V
+matrix, so every answer and witness is the same on either path. It is
+single-threaded, and the budget still charges it all S x F cells.
 
 Counting makes every secret and public of e, sorted by name, index the
 sigma rows, and its randoms the columns. It does not ask which
@@ -29,7 +42,7 @@ gap, so such a variable shows as 0. Row spans may run on a thread pool;
 results land in arrays indexed by row, so the outcome, witnesses
 included, is byte-identical at any number of workers. Work is bounded
 by an evaluation budget and an internal count-matrix cap; a cooperative
-deadline can abort between blocks.
+deadline can abort between blocks, or between bits.
 
 Given a run's memo (`infer.RunMemo`), a space of one block of at most
 _KEEP_CELLS cells keeps, in the memo's `blocks`, the values of the last
@@ -50,13 +63,16 @@ from fractions import Fraction
 import numpy as np
 
 from . import expr as ex
-from .domain import DomainConfig
+from .domain import OPS, DomainConfig
 from .errors import BudgetExceeded, UncoveredVariable, VariableTimeout
 
 DEFAULT_BUDGET = 1 << 28
 _MATRIX_CELL_CAP = 1 << 26
 _CHUNK_CELLS = 1 << 20
 _KEEP_CELLS = 1 << 16
+# the fixed cost of one bit of a bit-serial count, in enumerated cells:
+# about 10 us against about 1.2 ns a cell of a 2^24-cell enumeration
+_LEVEL_CELLS = 1 << 13
 EFFECTIVE_BITS_BUDGET = 20
 
 
@@ -112,11 +128,28 @@ def _check_deadline(deadline):
 def _digits(index, names, d: DomainConfig) -> dict:
     """Values of `names` encoded in `index`, the first name most significant.
 
-    `index` is an int (values are ints) or a uint64 array (values are
-    `d.dtype` arrays of its shape).
+    `index` is an int (values are ints), a range (values are 1-D
+    `d.dtype` arrays) or a uint64 array (values are `d.dtype` arrays of
+    its shape). A range's values are made in `d.dtype` from the runs of
+    each digit, with no index array: eight bytes a cell would make every
+    block's row and column values a fresh, page-faulted allocation.
     """
-    vector = isinstance(index, np.ndarray)
     values = {}
+    if isinstance(index, range):
+        lo, hi = index.start, index.stop
+        for i, name in enumerate(names):
+            shift = d.bits * (len(names) - 1 - i)
+            first, last = lo >> shift, (hi - 1) >> shift
+            if first == last:
+                values[name] = np.full(hi - lo, first & d.mask, d.dtype)
+                continue
+            # digits first..last, each held 2^shift times, cut to lo..hi
+            runs = np.arange(first, last + 1)
+            runs &= d.mask
+            values[name] = runs.astype(d.dtype).repeat(1 << shift)[
+                lo - (first << shift):hi - (first << shift)]
+        return values
+    vector = isinstance(index, np.ndarray)
     for i, name in enumerate(names):
         value = (index >> d.bits * (len(names) - 1 - i)) & d.mask
         values[name] = value.astype(d.dtype) if vector else value
@@ -159,8 +192,8 @@ class _Space:
         whole = self._columns(0, width) if width == self.F else None
         for r0 in range(lo, hi, self.step):
             r1 = min(r0 + self.step, hi)
-            row_env = _digits(np.arange(r0, r1, dtype=np.uint64)[:, None],
-                              self.rows, self.d)
+            row_env = {n: v[:, None] for n, v in
+                       _digits(range(r0, r1), self.rows, self.d).items()}
             for f0 in range(0, self.F, width):
                 f1 = min(f0 + width, self.F)
                 _check_deadline(deadline)
@@ -180,8 +213,8 @@ class _Space:
                 yield r0, f0, np.broadcast_to(values, (r1 - r0, f1 - f0))
 
     def _columns(self, f0: int, f1: int) -> dict:
-        return _digits(np.arange(f0, f1, dtype=np.uint64)[None, :],
-                       self.cols, self.d)
+        return {n: v[None, :] for n, v in
+                _digits(range(f0, f1), self.cols, self.d).items()}
 
 
 def _sigma_space(e: ex.Expr, d: DomainConfig, budget: int, memo=None):
@@ -202,8 +235,125 @@ def _kept(memo) -> dict | None:
     return None if memo is None else memo.blocks
 
 
+def _carries(e: ex.Expr) -> int | None:
+    """Number of distinct carrying nodes of e, or None as soon as the
+    walk meets an operator that is neither bitwise nor carrying."""
+    carries = 0
+    seen = {e}
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ex.Unary, ex.Binary)):
+            op = OPS[node.op]
+            if not (op.bitwise or op.carries):
+                return None
+            carries += op.carries
+            for c in ex.children(node):
+                if c not in seen:
+                    seen.add(c)
+                    stack.append(c)
+    return carries
+
+
+def _bit_serial_pays(e, d, space) -> bool:
+    """Does counting e bit by bit do less work than enumerating it?
+
+    Bit-serial work is, per bit, its grid of row, carry and random bits
+    plus a fixed cost, and then the fold of the count tensor, at most
+    S x V x 2^k cells times 2^k carries in; enumeration's is S x F
+    cells. The grid must fit one block, the float64 tensor the bytes of
+    a capped uint32 count matrix, and every count a uint32 (F < 2^32).
+    The cheap bound (no carries) is tested before the walk that finds k.
+    """
+    grid_bits = len(space.rows) + len(space.cols)   # plus one per carry
+    cells = space.S * space.F
+
+    def work(k):
+        return d.bits * ((1 << (grid_bits + k)) + _LEVEL_CELLS) + \
+            space.S * d.size * 4 ** k
+
+    if not 1 < space.F < 1 << 32 or work(0) >= cells:
+        return False
+    k = _carries(e)
+    return k is not None and work(k) < cells and \
+        (1 << (grid_bits + k)) <= _CHUNK_CELLS and \
+        (space.S * d.size << (k + 1)) <= _MATRIX_CELL_CAP
+
+
+def _bit_serial_counts(e, d, rows, cols, deadline=None):
+    """(S x 2^bits) count matrix of a bitwise and carrying e, bit by bit.
+
+    Bit i of e is a function of bit i of its leaves and of one carry in
+    per distinct carrying node (all 0 at bit 0). So each bit is one
+    evaluation over the grid of row bits x carries in x random bits,
+    tallied over the random bits into T[row bits, carries in, bit,
+    carries out], with which the count tensor over (row and value bits
+    so far, carries) is folded, a float64 matrix product, exact while
+    counts stay below 2^53. The last bit's carries out are summed out
+    and the bit axes reordered into `_digits` order, so the matrix is
+    the one enumeration tallies: uint32, or uint64 when F >= 2^32, which
+    only a direct call past the budget reaches.
+    """
+    order = ex.postorder(e)
+    carrying = [n for n in order
+                if isinstance(n, ex.Binary) and OPS[n.op].carries]
+    n_r, k, n_c = len(rows), len(carrying), len(cols)
+    grid = n_r + k + n_c
+    index = np.arange(1 << grid, dtype=np.intp)
+
+    def bit(axis):
+        return ((index >> (grid - 1 - axis)) & 1).astype(np.int8)
+
+    env = {name: bit(j) for j, name in enumerate(rows)}
+    env.update((name, bit(n_r + k + j)) for j, name in enumerate(cols))
+    carry_in = {n: bit(n_r + j) for j, n in enumerate(carrying)}
+    head = (index >> n_c) << (k + 1)    # (row bits, carries in) of a cell
+    R, C = 1 << n_r, 1 << k
+    counts = np.zeros((1, C), dtype=np.float64)
+    counts[0, 0] = 1
+    for i in range(d.bits):
+        _check_deadline(deadline)
+        values, carry_out = {}, {}
+        for node in order:
+            if isinstance(node, ex.Const):
+                got = np.int8(node.value >> i & 1)
+            elif isinstance(node, ex.Var):
+                got = env[node.name]
+            else:
+                op = OPS[node.op]
+                got = op.kernel(*(values[c] for c in ex.children(node)))
+                if op.carries:
+                    got = op.kernel(got, carry_in[node])
+                    carry_out[node] = (got >> 1) & 1
+                if op.wraps:
+                    got = got & 1
+            values[node] = got
+        cell = head | values[e].astype(np.intp) << k
+        for j, node in enumerate(carrying):
+            cell |= carry_out[node].astype(np.intp) << (k - 1 - j)
+        table = np.bincount(cell, minlength=2 * R * C * C).reshape(
+            R, C, 2, C).transpose(0, 2, 1, 3).reshape(2 * R, C, C)
+        if i == d.bits - 1:
+            table = table.sum(axis=2, keepdims=True)
+        # this bit's (row bits, value bit) go before those of lower bits
+        counts = np.matmul(counts, table.astype(np.float64)).reshape(
+            -1, table.shape[2])
+    # axes: per bit, most significant first, its row bits then its value bit
+    per_bit = n_r + 1
+    order_axes = [p * per_bit + j for j in range(n_r) for p in range(d.bits)]
+    order_axes += [p * per_bit + n_r for p in range(d.bits)]
+    dtype = np.uint32 if d.bits * n_c < 32 else np.uint64
+    return counts.astype(dtype).reshape(
+        (2,) * (d.bits * per_bit)).transpose(order_axes).reshape(
+            R ** d.bits, d.size)
+
+
 def _counts_matrix(e, d, space, jobs, deadline):
-    """(S x 2^bits) count matrix, or per-sigma values when F == 1."""
+    """(S x 2^bits) count matrix, or per-sigma values when F == 1.
+
+    An expression of bitwise and carrying operators is counted bit by
+    bit when that does less work; otherwise every cell is enumerated.
+    """
     V = d.size
     if space.F == 1:
         target = np.empty(space.S, dtype=d.dtype)
@@ -212,6 +362,9 @@ def _counts_matrix(e, d, space, jobs, deadline):
             raise BudgetExceeded(
                 f"count matrix of {space.S} x {V} cells exceeds the "
                 f"internal cap of {_MATRIX_CELL_CAP}")
+        if _bit_serial_pays(e, d, space):
+            return _bit_serial_counts(e, d, space.rows, space.cols,
+                                      deadline)
         target = np.zeros((space.S, V), dtype=np.uint32)
 
     spans = [(lo, min(lo + space.step, space.S))

@@ -50,6 +50,12 @@ class Operator:
     annihilated: bool = False       # 0 op e = 0
     unit_one: bool = False          # 1 op e = e
     shift: bool = False     # right operand: a constant amount in [0, bits)
+    # bit i of the result is the kernel on bit i of each operand or, when
+    # it carries, on those bits and one carry from bit i-1: on signed
+    # bits t = kernel(kernel(a, b), carry) gives bit i as t & 1 and the
+    # carry to bit i+1 as (t >> 1) & 1
+    bitwise: bool = False
+    carries: bool = False
     # the constants c (masked) for which e -> c op e is a bijection
     inverted_by: Callable[[int], bool] | None = None
 
@@ -58,22 +64,24 @@ OPS = {
     "<<": Operator(1, "bvshl", np.left_shift, True, shift=True),
     ">>": Operator(1, "bvlshr", np.right_shift, False, shift=True),
     "&": Operator(2, "bvand", np.bitwise_and, False, commutative=True,
-                  product=True, idempotent=True, annihilated=True),
+                  product=True, idempotent=True, annihilated=True,
+                  bitwise=True),
     "|": Operator(2, "bvor", np.bitwise_or, False, commutative=True,
-                  product=True, idempotent=True),
+                  product=True, idempotent=True, bitwise=True),
     "^": Operator(3, "bvxor", np.bitwise_xor, False, commutative=True,
-                  bijective=True, self_cancelling=True),
+                  bijective=True, self_cancelling=True, bitwise=True),
     "+": Operator(4, "bvadd", np.add, True, commutative=True,
-                  bijective=True),
+                  bijective=True, carries=True),
     "-": Operator(4, "bvsub", np.subtract, True, bijective=True,
-                  self_cancelling=True),
+                  self_cancelling=True, carries=True),
     "*": Operator(5, "bvmul", np.multiply, True, commutative=True,
                   product=True, annihilated=True, unit_one=True,
                   inverted_by=lambda c: c & 1 == 1),    # units mod 2^bits
     "@": Operator(5, "gfmul", None, False, commutative=True, product=True,
                   annihilated=True, unit_one=True,
                   inverted_by=lambda c: c != 0),        # units of the field
-    "~": Operator(0, "bvnot", np.invert, True, bijective=True),
+    "~": Operator(0, "bvnot", np.invert, True, bijective=True,
+                  bitwise=True),
 }
 
 BINARY_OPS = tuple(op for op, o in OPS.items() if o.level)

@@ -37,6 +37,15 @@ def solver_cmd() -> str:
     return cmd
 
 
+# Goubin's Boolean-to-arithmetic conversion (CHES 2001): at 8 bits its
+# last variable is 2^8 secret rows by 2^16 random columns, two borrows
+GOUBIN = """fn Goubin(x: secret, r: random, g: random) {
+  xm = x ^ r; t0 = xm ^ g; t1 = t0 - g; t2 = t1 ^ xm;
+  g1 = g ^ r; a0 = xm ^ g1; a1 = a0 - g1; a = a1 ^ t2;
+  return a;
+}"""
+
+
 def replayed_gap(e, d, witness) -> int:
     """count1[c] - count2[c] of a (sigma1, sigma2, c) witness for e, by
     exact counting; the two fixings must agree on e's publics."""

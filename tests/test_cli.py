@@ -36,10 +36,11 @@ fn Wide(k: secret, r0: random, r1: random, r2: random) {
 """
 
 # y is counted over 2^8 secret rows by 2^16 random columns: 2^24 cells,
-# more than one block, so a counting call with jobs > 1 starts its pool
+# more than one block, so a counting call with jobs > 1 starts its pool;
+# `@` keeps y out of bit-serial counting, so its cells are enumerated
 BLOCKS = """
 fn Blocks(k: secret, r0: random, r1: random) {
-  y = (k & r0) ^ (r0 & r1);
+  y = (k & r0) ^ (r0 @ r1);
   return y;
 }
 """

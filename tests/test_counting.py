@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from maskcheck import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     CountVector,
     Qms,
@@ -34,6 +35,7 @@ from maskcheck import (
     var,
 )
 from maskcheck import expr as ex
+from conftest import GOUBIN
 
 K = var("k", ex.SECRET)
 K2 = var("k2", ex.SECRET)
@@ -322,3 +324,91 @@ class TestDeterminism:
     def test_jobs_do_not_change_si_witness(self, cube):
         e = expr_of(cube, "x3")
         assert check_si(e, D8, jobs=1) == check_si(e, D8, jobs=4)
+
+
+@pytest.fixture(scope="module")
+def goubin():
+    return expr_of(parse(GOUBIN), "a")
+
+
+def cells_evaluated(monkeypatch):
+    """Cells of every eval_vec call counting makes from now on."""
+    seen = []
+    evaluate = counting.ex.eval_vec
+
+    def spy(e, env, d, *args):
+        seen.append(int(np.prod(np.broadcast_shapes(
+            *(np.shape(v) for v in env.values())))))
+        return evaluate(e, env, d, *args)
+
+    monkeypatch.setattr(counting.ex, "eval_vec", spy)
+    return seen
+
+
+class TestBitSerial:
+    def test_budget_is_still_charged_for_every_cell(self, goubin):
+        message = ("256 sigma x 65536 random assignments exceed the "
+                   "budget of 100 evaluations")
+        for decide in (qms_exact, check_si, check_uniform):
+            with pytest.raises(BudgetExceeded, match=f"^{message}$"):
+                decide(goubin, D8, budget=100)
+
+    def test_deadline_is_checked_between_bits(self, goubin, monkeypatch):
+        def enumerate_blocks(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(counting._Space, "blocks", enumerate_blocks)
+        with pytest.raises(VariableTimeout):
+            qms_exact(goubin, D8, deadline=time.monotonic() - 1.0)
+
+    @pytest.mark.parametrize("op", ["@", "*", "<<", ">>"])
+    def test_other_operators_enumerate(self, op, monkeypatch):
+        d = make_domain(4)
+        inside = xor(binop("&", K, R0), binop("&", R1, R2))
+        if op in ex.SHIFT_OPS:
+            outside = binop(op, inside, const(1))
+        else:
+            outside = xor(binop("&", K, R0), binop(op, R1, R2))
+        space, _ = counting._sigma_space(inside, d, DEFAULT_BUDGET)
+        assert counting._bit_serial_pays(inside, d, space)
+        seen = cells_evaluated(monkeypatch)
+        qms_exact(inside, d)
+        assert seen == []
+        qms_exact(outside, d)
+        assert sum(seen) == 16 * 16 ** 3
+
+    def test_cost_rule_counts_each_carry(self):
+        """V x 4^k against F: at 8 bits, 3 randoms pay for up to 7
+        carrying nodes, and a node shared twice is one carry."""
+        def chain(n):
+            e = xor(K, R0)
+            for i in range(n):
+                e = binop("+", e, [R1, R2][i % 2])
+            return e
+
+        def pays(e):
+            space, _ = counting._sigma_space(e, D8, 1 << 32)
+            return counting._bit_serial_pays(e, D8, space)
+
+        assert pays(chain(7)) and not pays(chain(8))
+        assert pays(binop("-", chain(6), chain(6)))
+
+    def test_goubin_evaluates_no_large_block(self, goubin, monkeypatch):
+        seen = cells_evaluated(monkeypatch)
+        got = qms_exact(goubin, D8)
+        assert (got.num, got.den, got.witness) == (1 << 16, 1 << 16, None)
+        assert max(seen, default=0) < 1 << 20
+
+    @pytest.mark.parametrize("bits,names", [(1, 3), (3, 2), (4, 3), (8, 2)])
+    def test_digits_of_a_range_are_those_of_its_indices(self, bits, names):
+        d = make_domain(bits)
+        names = [f"v{i}" for i in range(names)]
+        size = d.size ** len(names)
+        for lo, hi in ((0, size), (1, size - 1), (size // 3, size // 2),
+                       (size - 1, size), (5, 6)):
+            got = counting._digits(range(lo, hi), names, d)
+            want = counting._digits(np.arange(lo, hi, dtype=np.uint64),
+                                    names, d)
+            for name in names:
+                assert got[name].dtype == d.dtype
+                assert np.array_equal(got[name], want[name]), (lo, hi)

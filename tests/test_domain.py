@@ -294,6 +294,27 @@ def test_operator_kernels_match_eval_op(op, bits):
         assert is_permutation(got.tolist(), d) == info.bijective
 
 
+@pytest.mark.parametrize("bits", range(1, 5))
+@pytest.mark.parametrize("op", [op for op, o in OPS.items()
+                                if o.bitwise or o.carries])
+def test_bit_serial_labels_match_eval_op(op, bits):
+    """Bit by bit from the lowest, the kernel on the operands' bits (and
+    on the carry, for a carrying operator) gives the bits of eval_op."""
+    d = make_domain(bits)
+    info, t = OPS[op], op_table(op, d)
+    assert info.bitwise != info.carries
+    for (a, b), want in t.items():
+        got, carry = 0, np.int8(0)
+        for i in range(bits):
+            operands = [np.int8(x >> i & 1) for x in (a, b) if x is not None]
+            bit = info.kernel(*operands)
+            if info.carries:
+                bit = info.kernel(bit, carry)
+                carry = (bit >> 1) & 1
+            got |= int(bit & 1) << i
+        assert got == want, (a, b)
+
+
 GRAMMAR = Path(__file__).resolve().parents[1] / "docs" / "grammar.md"
 
 

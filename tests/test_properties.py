@@ -22,6 +22,12 @@ changes no answer: judgements as the store grows, kept block values
 as the expressions of a run follow one another, and reductions of forms
 that contain earlier forms or their reduced forms.
 
+The bit-serial properties check that counting an expression of `^ & |
+~ + -` one bit position at a time gives enumeration's count matrix, and
+so the same answers and witnesses, at widths 1-4 and on Goubin's
+conversion at 8 bits, and that at 8 bits a Boolean-only expression's
+matrix is the product of its 1-bit matrix over the bits.
+
 The word-width properties check that evaluation keeps values in the
 domain's own type (`d.dtype`) at every width and operator, with the
 values a uint32 evaluation and the scalar evaluator give, and that the
@@ -77,9 +83,10 @@ from maskcheck import (
     simplify,
     smt,
 )
+from maskcheck import domain
 from maskcheck import expr as ex
 from maskcheck.domain import BINARY_OPS, UNARY_OPS
-from conftest import replayed_gap
+from conftest import GOUBIN, replayed_gap
 from fragment_solver import decide
 from randprog import BINOPS, random_expr, random_program
 
@@ -511,6 +518,104 @@ def test_kept_blocks_equal_fresh_evaluation(jobs, case, data):
     for t in ex.postorder(e):
         got = eval_vec(e, env, d, {t: eval_vec(t, env, d)})
         assert np.array_equal(np.broadcast_to(got, whole.shape), whole)
+
+
+# --- bit-serial counting against enumeration -----------------------------------
+
+SERIAL_OPS = tuple(op for op, o in domain.OPS.items()
+                   if o.level and (o.bitwise or o.carries))
+CARRYING = tuple(op for op, o in domain.OPS.items() if o.carries)
+BOOLEAN = tuple(op for op, o in domain.OPS.items() if o.level and o.bitwise)
+
+
+@st.composite
+def serial_cases(draw, ops=SERIAL_OPS, consts=None, max_bits=4,
+                 cell_bits=12, fixed=FIXED, randoms=3):
+    """(e, domain): e of bitwise and carrying operators only, over a
+    random and at most cell_bits // bits others drawn from `fixed` and
+    `randoms` randoms, so maybe no secret, maybe a public; constants may
+    be wider than the word. Drawing its own carrying subterm into e
+    twice makes a shared carry."""
+    bits = draw(st.integers(1, max_bits))
+    pool = [v for v in fixed + RANDOMS[:randoms] if draw(st.booleans())]
+    leaves = pool[:cell_bits // bits] + [draw(st.sampled_from(RANDOMS[:2]))]
+    leaf = st.sampled_from(leaves) | (
+        st.sampled_from(consts) if consts else
+        st.integers(0, (1 << bits + 3) - 1)).map(ex.const)
+    e = draw(st.recursive(leaf, lambda inner: st.one_of(
+        inner.map(ex.neg),
+        st.builds(ex.binop, st.sampled_from(ops), inner, inner)),
+        max_leaves=8))
+    for v in leaves:    # every pool variable occurs
+        if v not in ex.var_leaves(e):
+            e = ex.binop(draw(st.sampled_from(ops)), e, v)
+    if set(ops) & set(CARRYING) and draw(st.booleans()):
+        shared = ex.binop(draw(st.sampled_from(CARRYING)), e,
+                          draw(st.sampled_from(leaves)))
+        e = ex.binop(draw(st.sampled_from(ops)),
+                     ex.binop(draw(st.sampled_from(ops)), shared, e), shared)
+    return e, make_domain(bits)
+
+
+def serial_forced(on):
+    return mock.patch.object(counting, "_bit_serial_pays",
+                             lambda *args: on)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(case=serial_cases())
+def test_bit_serial_matrix_equals_enumeration(case):
+    e, d = case
+    space, _ = counting._sigma_space(e, d, 1 << 20)
+    serial = counting._bit_serial_counts(e, d, space.rows, space.cols)
+    with serial_forced(False):
+        enumerated = counting._counts_matrix(e, d, space, 1, None)
+    assert serial.dtype == enumerated.dtype == np.uint32
+    assert np.array_equal(serial, enumerated), ex.pretty(e)
+    answers = []
+    for on in (True, False):
+        with serial_forced(on):
+            answers.append((check_si(e, d), qms_exact(e, d),
+                            check_uniform(e, d)))
+    assert answers[0] == answers[1], ex.pretty(e)
+
+
+def test_bit_serial_counts_goubins_conversion_at_8_bits():
+    d = make_domain(8)
+    e = expr_of(parse(GOUBIN), "a")
+    space, _ = counting._sigma_space(e, d, counting.DEFAULT_BUDGET)
+    assert counting._bit_serial_pays(e, d, space)
+    serial = counting._bit_serial_counts(e, d, space.rows, space.cols)
+    with serial_forced(False):
+        assert np.array_equal(
+            serial, counting._counts_matrix(e, d, space, 1, None))
+    # a = x - r for every g: uniform, as the gadget promises
+    assert (serial == 1 << 8).all()
+
+
+@PROPERTY
+@given(case=serial_cases(ops=BOOLEAN, consts=(0, 0xFF), max_bits=1,
+                         cell_bits=5, fixed=(K,), randoms=4))
+@example(case=(ex.binop("^", ex.binop("&", K, R0), ex.binop("&", R1, R2)),
+               make_domain(1)))
+def test_bit_serial_boolean_counts_are_products_of_one_bit(case):
+    """A Boolean-only e acts on each bit apart, so its 8-bit count of
+    (sigma, v) is the product over bits i of its 1-bit count of (bit i
+    of sigma, bit i of v). Constants 0 and 0xFF are every bit alike;
+    one secret at most keeps the 8-bit matrix at 2^8 rows. Called past
+    the S x F gate: (k & r0) ^ (r1 & r2) has 2^32 cells."""
+    e, d1 = case
+    space, _ = counting._sigma_space(e, d1, 1 << 20)
+    with serial_forced(False):
+        one = counting._counts_matrix(e, d1, space, 1, None)
+    d8 = make_domain(8)
+    got = counting._bit_serial_counts(e, d8, space.rows, space.cols)
+    sigma = np.arange(len(got))[:, None] if space.rows else 0
+    value = np.arange(d8.size)[None, :]
+    want = np.ones(got.shape, dtype=np.uint64)
+    for i in range(8):
+        want *= one[sigma >> i & 1, value >> i & 1]
+    assert np.array_equal(got, want), ex.pretty(e)
 
 
 # --- word width -----------------------------------------------------------------
