@@ -27,10 +27,15 @@ nothing from the children (dominant, no-secret, secret, self-cancel)
 run first, and only a node they leave undecided has its children typed
 before the combining rules run on it.
 
-Judgements and dominance are memoised in a RunMemo. A direct call gets
-a fresh one, so it derives its expression from the leaves; the verifier
-passes one memo to every call of a run, so each node is judged and its
-dominance found once per program, not once per variable. A judgement
+Judgements are memoised in a RunMemo, and so are the variable sets the
+rules ask about: per node, bitmasks of the variables that occur, that
+occur more than once and the randoms reachable through bijective
+steps, each a few integer operations on its children's. A node's
+dominant randoms are then `reach & ~repeated`, and the side conditions
+of the combining rules are intersections of masks. A direct call gets
+a fresh memo, so it derives its expression from the leaves; the
+verifier passes one memo to every call of a run, so each node is judged
+and its masks found once per program, not once per variable. A judgement
 whose derivation never reached the store never changes. One that did
 is dropped, with every judgement derived from it, when the verifier
 writes a store entry for its node (`RunMemo.forget`).
@@ -97,8 +102,11 @@ class RunMemo:
     * judged - each node's judgement. `links` lists every node whose
       judgement reached the store, directly or through a child, with
       the nodes whose judgements were derived from it.
-    * reach - per node, the randoms reachable through bijective steps,
-      as a bitmask; `bits` gives each random name its bit.
+    * masks - per node, three sets of variables as bitmasks: those that
+      occur in it, those that occur more than once (tree multiplicity)
+      and the randoms reachable through bijective steps. Each Var node
+      gets one bit, in the order they are first seen: `names` gives
+      each bit's name, `secrets` and `randoms` the bits of those kinds.
     * blocks - counting's kept block values: per block layout, the
       last expression evaluated there and its values.
     * laws - per node, what one pass of the algebraic laws makes of it
@@ -112,8 +120,10 @@ class RunMemo:
         self.d = d
         self.judged: dict[ex.Expr, Judgement] = {}
         self.links: dict[ex.Expr, list[ex.Expr]] = {}
-        self.reach: dict[ex.Expr, int] = {}
-        self.bits: dict[str, int] = {}
+        self.masks: dict[ex.Expr, tuple[int, int, int]] = {}
+        self.names: list[str] = []
+        self.secrets = 0
+        self.randoms = 0
         self.blocks: dict = {}
         self.laws: dict[ex.Expr, ex.Expr] = {}
         self.settled: dict[tuple, set[ex.Expr]] = {}
@@ -137,31 +147,42 @@ def _run_memo(memo: RunMemo | None, d: DomainConfig | None) -> RunMemo:
     return memo
 
 
-def _reach(e: ex.Expr, d: DomainConfig | None, memo: RunMemo) -> int:
-    """Bitmask of the randoms reachable from e through bijective steps."""
-    reach = memo.reach
-    got = reach.get(e)
+def _masks(e: ex.Expr, d: DomainConfig | None,
+           memo: RunMemo) -> tuple[int, int, int]:
+    """e's variables as bitmasks: (occurring, occurring more than once,
+    randoms reachable through bijective steps)."""
+    masks = memo.masks
+    got = masks.get(e)
     if got is None:
-        for node in ex.postorder(e, lambda n: n in reach or _opaque(n, d)):
-            if node in reach:
+        for node in ex.postorder(e, masks.__contains__):
+            if node in masks:
                 continue
-            got = 0
-            if isinstance(node, ex.Var) and node.kind == ex.RANDOM:
-                got = memo.bits.setdefault(node.name, 1 << len(memo.bits))
-            elif not _opaque(node, d):
-                for c in ex.children(node):
-                    got |= reach[c]
-            reach[node] = got
+            if isinstance(node, ex.Binary):
+                occ, rep, reach = masks[node.left]
+                r_occ, r_rep, r_reach = masks[node.right]
+                got = (occ | r_occ, rep | r_rep | (occ & r_occ),
+                       0 if _opaque(node, d) else reach | r_reach)
+            elif isinstance(node, ex.Unary):
+                got = masks[node.operand]
+            elif isinstance(node, ex.Var):
+                bit = 1 << len(memo.names)
+                memo.names.append(node.name)
+                if node.kind == ex.SECRET:
+                    memo.secrets |= bit
+                if node.kind == ex.RANDOM:
+                    memo.randoms |= bit
+                got = (bit, 0, bit if node.kind == ex.RANDOM else 0)
+            else:
+                got = (0, 0, 0)
+            masks[node] = got
+        got = masks[e]
     return got
 
 
-def _dominant(e: ex.Expr, d: DomainConfig | None, memo: RunMemo) -> set[str]:
-    once = [v.name for v, k in ex.var_counts(e).items()
-            if v.kind == ex.RANDOM and k == 1]
-    if not once:
-        return set()
-    reach = _reach(e, d, memo)
-    return {name for name in once if reach & memo.bits.get(name, 0)}
+def _dominant(e: ex.Expr, d: DomainConfig | None, memo: RunMemo) -> int:
+    """Bitmask of e's dominant randoms: reachable and occurring once."""
+    _, rep, reach = _masks(e, d, memo)
+    return reach & ~rep
 
 
 def dominant_vars(e: ex.Expr, d: DomainConfig | None = None,
@@ -170,10 +191,17 @@ def dominant_vars(e: ex.Expr, d: DomainConfig | None = None,
 
     Passing the domain lets constant siblings be judged by their masked
     value (a literal like 256 is 0 in an 8-bit word and must not count
-    as invertible). A run's memo, over the same domain, keeps what is
-    reachable from each node for every later call.
+    as invertible). A run's memo, over the same domain, keeps the
+    variable sets of each node for every later call.
     """
-    return _dominant(e, d, _run_memo(memo, d))
+    memo = _run_memo(memo, d)
+    mask = _dominant(e, d, memo)
+    names = set()
+    while mask:
+        low = mask & -mask
+        names.add(memo.names[low.bit_length() - 1])
+        mask ^= low
+    return names
 
 
 def _is_secret(node: ex.Expr) -> bool:
@@ -187,7 +215,7 @@ def _closed(node: ex.Expr, d: DomainConfig | None,
     if _dominant(node, d, memo):
         return Judgement(node, RUD, ("dominant",))
     # no secret anywhere: the distribution cannot depend on one
-    if not any(v.kind == ex.SECRET for v in ex.var_counts(node)):
+    if not _masks(node, d, memo)[0] & memo.secrets:
         return Judgement(node, SID, ("no-secret",))
     if _is_secret(node):
         return Judgement(node, SDD, ("secret",))
@@ -218,16 +246,17 @@ def _combined(node: ex.Expr, d: DomainConfig | None,
             return Judgement(node, SDD, lj.rule_trace + ("self-absorb",))
 
     both = lj.rule_trace + rj.rule_trace
+    l_occ, r_occ = _masks(left, d, memo)[0], _masks(right, d, memo)[0]
     # uniform x uniform with a fresh dominant on one side
     if op.product and lj.dist is RUD and rj.dist is RUD:
-        if _dominant(left, d, memo) - ex.rvars(right):
+        if _dominant(left, d, memo) & ~r_occ:
             return Judgement(node, SID, both + ("masked-product",))
-        if _dominant(right, d, memo) - ex.rvars(left):
+        if _dominant(right, d, memo) & ~l_occ:
             return Judgement(node, SID, both + ("masked-product", "commute"))
 
     # independent secret-independent operands
     if at_most_sid(lj.dist) and at_most_sid(rj.dist) and \
-            not (ex.rvars(left) & ex.rvars(right)):
+            not l_occ & r_occ & memo.randoms:
         return Judgement(node, SID, both + ("independent-op",))
 
     # a bare secret times a freshly-masked uniform: the secret's values
@@ -235,10 +264,10 @@ def _combined(node: ex.Expr, d: DomainConfig | None,
     # distribution; other dependent operands may never take those values
     if op.product:
         if _is_secret(left) and rj.dist is RUD and \
-                _dominant(right, d, memo) - ex.rvars(left):
+                _dominant(right, d, memo) & ~l_occ:
             return Judgement(node, SDD, both + ("tainted-product",))
         if _is_secret(right) and lj.dist is RUD and \
-                _dominant(left, d, memo) - ex.rvars(right):
+                _dominant(left, d, memo) & ~r_occ:
             return Judgement(node, SDD,
                              both + ("tainted-product", "commute"))
     return None

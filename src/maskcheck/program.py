@@ -29,6 +29,10 @@ hold in memory.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import re
+import string
 from dataclasses import dataclass, field
 
 from . import expr as ex
@@ -90,140 +94,155 @@ class Program:
 
 
 # --- tokenizer ---------------------------------------------------------------
+#
+# A token is its text, and its kind is that of its first character: a
+# letter or `_` starts a name, a digit a constant, anything else is an
+# operator or punctuation. One regex match takes each token, skipping
+# the whitespace and comments before it: a name, a hex or decimal
+# constant, a two-character operator, or any one other character; the
+# empty match at the end is the last token. A token that is none of
+# these is an error. Lines and columns are found only for an error, by
+# matching the text again up to its token.
 
 _PUNCTUATION = "(){},;:="
+_END = ""       # the last token
+
+# first characters whose every token is well formed: see _problem
+_FINE = frozenset(string.ascii_letters + "_123456789" + _PUNCTUATION
+                  + "".join(op for op in OPS if len(op) == 1))
 
 
-@dataclass
-class _Token:
-    kind: str       # ident | num | sym | eof
-    text: str
-    line: int
-    col: int
+@functools.lru_cache(maxsize=16)
+def _token_re(digits: str) -> re.Pattern:
+    """The token pattern. `digits` lists the non-decimal digits of the
+    text (str.isdigit: superscripts and the like, never ASCII), which
+    make a constant as the decimal ones do, and never start a name."""
+    digit = r"\d" + re.escape(digits)
+    pairs = "|".join(re.escape(op) for op in OPS if len(op) == 2)
+    return re.compile(
+        rf"(?:[ \t\r\n]|#[^\n]*)*"
+        rf"([^\W{digit}]\w*|0[xX][0-9a-fA-F]*|[{digit}]+|{pairs}|.|\Z)",
+        re.S)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            if text[i:i + 2].lower() == "0x":
-                j = i + 2
-                while j < n and text[j] in "0123456789abcdefABCDEF":
-                    j += 1
-                if j == i + 2:
-                    raise ParseError("malformed hex constant", line, col)
-            else:
-                while j < n and text[j].isdigit():
-                    j += 1
-            toks.append(_Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        sym = text[i:i + 2] if text[i:i + 2] in OPS else ch
-        if sym in OPS or sym in _PUNCTUATION:
-            toks.append(_Token("sym", sym, line, col))
-            i += len(sym)
-            col += len(sym)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("eof", "", line, col))
+def _pattern(text: str) -> re.Pattern:
+    if text.isascii():
+        return _token_re("")
+    return _token_re("".join(sorted(
+        c for c in set(text) if c.isdigit() and not c.isdecimal())))
+
+
+def _is_name(tok: str) -> bool:
+    return tok[:1] == "_" or tok[:1].isalpha()
+
+
+def _problem(tok: str) -> str | None:
+    """Why tok is not a token, or None if it is one."""
+    if tok == _END or _is_name(tok) or tok in OPS or tok in _PUNCTUATION:
+        return None
+    if tok[0].isdigit():
+        return "malformed hex constant" if tok.lower() == "0x" else None
+    return f"unexpected character {tok[0]!r}"
+
+
+def _where(text: str, index: int) -> tuple[int, int]:
+    """Line and column of token `index` of text. The end of a text whose
+    last line holds a comment is where that comment starts."""
+    match = next(itertools.islice(_pattern(text).finditer(text), index, None))
+    at = match.start(1)
+    if at == len(text):
+        last = text.rfind("\n") + 1
+        comment = text.find("#", last)
+        if comment >= 0:
+            at = comment
+    start = text.rfind("\n", 0, at) + 1
+    return text.count("\n", 0, at) + 1, at - start + 1
+
+
+def _tokenize(text: str) -> list[str]:
+    toks = _pattern(text).findall(text)
+    if toks[-2:] == [_END, _END]:
+        toks.pop()      # findall's empty match after trailing space
+    for index, tok in enumerate(toks):
+        if tok[:1] not in _FINE:
+            problem = _problem(tok)
+            if problem is not None:
+                raise ParseError(problem, *_where(text, index))
     return toks
 
 
 # --- parser ------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, toks: list[_Token]):
-        self.toks = toks
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = _tokenize(text)
         self.pos = 0
         self.depth = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> str:
         return self.toks[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> str:
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
     def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+        raise ParseError(message, *_where(self.text, self.pos))
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> str:
         tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
-            self.fail(f"expected {text!r}, found {tok.text!r}")
+        if tok != text:
+            self.fail(f"expected {text!r}, found {tok!r}")
         return self.next()
 
-    def ident(self, what: str) -> _Token:
+    def ident(self, what: str) -> str:
         tok = self.peek()
-        if tok.kind != "ident":
-            self.fail(f"expected {what}, found {tok.text!r}")
+        if not _is_name(tok):
+            self.fail(f"expected {what}, found {tok!r}")
         return self.next()
 
     def expression(self, kinds: dict[str, str], min_prec: int = 1) -> ex.Expr:
         left = self.atom(kinds)
         while True:
             tok = self.peek()
-            op = OPS.get(tok.text) if tok.kind == "sym" else None
+            op = OPS.get(tok)
             if op is None or op.level < min_prec:  # `~`'s level 0 never binds
                 return left
             self.next()
             right = self.expression(kinds, op.level + 1)
-            left = ex.binop(tok.text, left, right)
+            left = ex.binop(tok, left, right)
 
     def atom(self, kinds: dict[str, str]) -> ex.Expr:
         tok = self.peek()
-        if tok.text == "(" or tok.text in UNARY_OPS:
+        if tok == "(" or tok in UNARY_OPS:
             if self.depth == MAX_NESTING:
                 self.fail(f"nesting of '(' and '~' deeper than {MAX_NESTING}")
             self.next()
             self.depth += 1
-            if tok.text == "(":
+            if tok == "(":
                 inner = self.expression(kinds)
                 self.expect(")")
             else:
                 inner = ex.neg(self.atom(kinds))
             self.depth -= 1
             return inner
-        if tok.kind == "num":
+        if tok[:1].isdigit():
+            try:
+                value = int(tok, 0)
+            except ValueError:  # a leading 0, or a digit int() refuses
+                self.fail(f"malformed constant {tok!r}")
             self.next()
-            return ex.const(int(tok.text, 0))
-        if tok.kind == "ident":
-            self.next()
-            kind = kinds.get(tok.text)
+            return ex.const(value)
+        if _is_name(tok):
+            kind = kinds.get(tok)
             if kind is None:
+                line, col = _where(self.text, self.pos)
                 raise UseBeforeDef(
-                    f"{tok.text!r} used before definition "
-                    f"(line {tok.line}, col {tok.col})")
-            return ex.var(tok.text, kind)
+                    f"{tok!r} used before definition (line {line}, col {col})")
+            self.next()
+            return ex.var(tok, kind)
         self.fail("expected an expression")
 
 
@@ -265,27 +284,28 @@ def _split(target: str, rhs: ex.Expr, out: list[Statement], fresh) -> None:
 
 def parse(text: str) -> Program:
     """Parse, validate (SSA, defined-before-use), and normalize a program."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     parser.expect("fn")
-    name = parser.ident("function name").text
+    name = parser.ident("function name")
     parser.expect("(")
 
     params: list[tuple[str, str]] = []
     kinds: dict[str, str] = {}
-    if parser.peek().text != ")":
+    if parser.peek() != ")":
         while True:
-            pname_tok = parser.ident("parameter name")
+            pname = parser.ident("parameter name")
             parser.expect(":")
-            klass_tok = parser.ident("parameter class")
-            if klass_tok.text not in (ex.PUBLIC, ex.SECRET, ex.RANDOM):
+            klass = parser.ident("parameter class")
+            if klass not in (ex.PUBLIC, ex.SECRET, ex.RANDOM):
+                line, _ = _where(text, parser.pos - 1)
                 raise UnknownClass(
-                    f"unknown class {klass_tok.text!r} for parameter "
-                    f"{pname_tok.text!r} (line {klass_tok.line})")
-            if pname_tok.text in kinds:
-                raise NotSSA(f"parameter {pname_tok.text!r} declared twice")
-            kinds[pname_tok.text] = klass_tok.text
-            params.append((pname_tok.text, klass_tok.text))
-            if parser.peek().text == ",":
+                    f"unknown class {klass!r} for parameter "
+                    f"{pname!r} (line {line})")
+            if pname in kinds:
+                raise NotSSA(f"parameter {pname!r} declared twice")
+            kinds[pname] = klass
+            params.append((pname, klass))
+            if parser.peek() == ",":
                 parser.next()
                 continue
             break
@@ -305,14 +325,14 @@ def parse(text: str) -> Program:
                 return cand
 
     statements: list[Statement] = []
-    while parser.peek().text != "return":
-        if parser.peek().kind == "eof":
+    while parser.peek() != "return":
+        if parser.peek() == _END:
             parser.fail("unterminated program body")
-        target_tok = parser.ident("assignment target")
-        target = target_tok.text
+        target = parser.ident("assignment target")
         if target in kinds:
+            line, _ = _where(text, parser.pos - 1)
             raise NotSSA(
-                f"{target!r} assigned more than once (line {target_tok.line})")
+                f"{target!r} assigned more than once (line {line})")
         parser.expect("=")
         rhs = parser.expression(kinds)
         parser.expect(";")
@@ -324,13 +344,13 @@ def parse(text: str) -> Program:
         taken.add(target)
 
     parser.expect("return")
-    returns = [parser.ident("return variable").text]
-    while parser.peek().text == ",":
+    returns = [parser.ident("return variable")]
+    while parser.peek() == ",":
         parser.next()
-        returns.append(parser.ident("return variable").text)
+        returns.append(parser.ident("return variable"))
     parser.expect(";")
     parser.expect("}")
-    if parser.peek().kind != "eof":
+    if parser.peek() != _END:
         parser.fail("trailing input after program")
 
     for r in returns:

@@ -45,7 +45,7 @@ from .counting import _check_deadline, effective_variables
 from .counting import is_effective  # noqa: F401  re-exported
 from .domain import OPS, DomainConfig
 from .infer import RunMemo, _run_memo, dominant_vars
-from .program import _Parser, _tokenize
+from .program import _END, _Parser
 
 
 def eliminate_ineffective(e: ex.Expr, d: DomainConfig,
@@ -162,9 +162,9 @@ class _MetaKinds:
 
 
 def _parse_pattern_expr(text: str) -> ex.Expr:
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     node = parser.expression(_MetaKinds())
-    if parser.peek().kind != "eof":
+    if parser.peek() != _END:
         parser.fail("trailing input in pattern")
     return node
 

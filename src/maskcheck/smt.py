@@ -414,8 +414,10 @@ class SolverSession:
                 self._loaded = prefix
             text += (f"(push 1)\n{prefix.tail(query.delta)}(pop 1)\n"
                      f'(echo "{SENTINEL.decode()}")\n')
+            # a fresh process has a new stderr file, which it may have
+            # written already
             err = self._err.fileno()
-            mark = os.fstat(err).st_size
+            mark = 0 if fresh else os.fstat(err).st_size
             got = self._exchange(text.encode(), deadline)
             if got is None:
                 self.close()

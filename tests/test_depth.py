@@ -34,12 +34,16 @@ from maskcheck.domain import gf_table
 from maskcheck.program import MAX_NESTING
 
 
-def deep_chain(n: int) -> str:
-    """v0 = k ^ r0, then v_i = v_{i-1} @ r1 (odd i) or v_{i-1} ^ r0."""
-    lines = ["fn Deep(k: secret, r0: random, r1: random) {", "  v0 = k ^ r0;"]
+def deep_chain(n: int, prefix: str = "") -> str:
+    """v0 = k ^ r0, then v_i = v_{i-1} @ r1 (odd i) or v_{i-1} ^ r0,
+    every name starting with prefix."""
+    k, r0, r1, v = (prefix + name for name in ("k", "r0", "r1", "v"))
+    lines = [f"fn Deep({k}: secret, {r0}: random, {r1}: random) {{",
+             f"  {v}0 = {k} ^ {r0};"]
     for i in range(1, n + 1):
-        lines.append(f"  v{i} = v{i - 1} {'@ r1' if i % 2 else '^ r0'};")
-    lines += [f"  return v{n};", "}"]
+        step = f"@ {r1}" if i % 2 else f"^ {r0}"
+        lines.append(f"  {v}{i} = {v}{i - 1} {step};")
+    lines += [f"  return {v}{n};", "}"]
     return "\n".join(lines)
 
 
@@ -84,12 +88,14 @@ def test_chain_costs_grow_linearly():
     # settled reductions across variables: doubling a chain about
     # doubles the closed-rule evaluations, the GF(2^n) products and the
     # nodes the reductions walk, where re-deriving every variable from
-    # the leaves quadruples them
+    # the leaves quadruples them. Each chain has names of its own, so
+    # no expression of an earlier test or chain is in the process-wide
+    # caches of the expr module
     rules = importlib.import_module("maskcheck.infer")
     verify = importlib.import_module("maskcheck.verify")
     costs = {}
     for n in (100, 200):
-        p = parse(deep_chain(n))
+        p = parse(deep_chain(n, f"lin{n}_"))
         walked = []
         reducing = []
 

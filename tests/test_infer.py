@@ -1,11 +1,13 @@
 """Distribution-type inference: rule priorities, traces, whole programs."""
 
+import random
 from unittest import mock
 
 import pytest
 
 from maskcheck import (
     METHOD_REDUCED,
+    METHOD_TYPE,
     RUD,
     SDD,
     SID,
@@ -429,3 +431,159 @@ class TestRunMemo:
             dominant_vars(e, None, memo)
         with pytest.raises(ValueError, match="memo is over"):
             infer(e, make_domain(4), memo=memo)
+
+
+# --- variable-set masks against their definitions ---------------------------
+
+PRODUCT_CONSTANTS = (0, 1, 2, 3, 255, 256, 257, 512)   # 256, 512: 0 at 8 bits
+
+
+def random_dag(rng: random.Random) -> ex.Expr:
+    """An expression whose later nodes reuse earlier ones, so subterms
+    are shared and operands are often equal."""
+    pool = [R0, R1, var("r2", ex.RANDOM), K, K2, P]
+    for _ in range(rng.randint(1, 7)):
+        a, b = rng.choice(pool), rng.choice(pool)
+        roll = rng.random()
+        if roll < 0.1:
+            node = neg(a)
+        elif roll < 0.3:
+            c = const(rng.choice(PRODUCT_CONSTANTS))
+            node = binop(rng.choice("*@"), *rng.sample((a, c), 2))
+        elif roll < 0.35:
+            node = binop(rng.choice(("<<", ">>")), a, const(1))
+        else:
+            node = binop(rng.choice("^^+-&|*@@"), a, b)
+        pool.append(node)
+    return pool[-1]
+
+
+def reference_reach(e: ex.Expr, d) -> set[str]:
+    """Randoms reachable from e through bijective steps, by definition:
+    ^, ~, + and -, and * (@) with a constant operand that is odd
+    (nonzero) once masked to the word."""
+    if isinstance(e, ex.Var):
+        return {e.name} if e.kind == ex.RANDOM else set()
+    if isinstance(e, ex.Unary):
+        return reference_reach(e.operand, d)
+    if not isinstance(e, ex.Binary):
+        return set()
+    both = reference_reach(e.left, d) | reference_reach(e.right, d)
+    if e.op in "^+-":
+        return both
+    unit = {"*": lambda c: c % 2 == 1, "@": lambda c: c != 0}.get(e.op)
+    constants = [c.value if d is None else c.value & d.mask
+                 for c in (e.left, e.right) if isinstance(c, ex.Const)]
+    return both if unit and any(map(unit, constants)) else set()
+
+
+def reference_dominant(e: ex.Expr, d) -> set[str]:
+    once = {v.name for v, k in ex.var_counts(e).items()
+            if v.kind == ex.RANDOM and k == 1}
+    return once & reference_reach(e, d)
+
+
+def reference_infer(e: ex.Expr, d) -> tuple:
+    """(dist, rule trace) by the rules in their order, on name sets."""
+    def secret(n):
+        return isinstance(n, ex.Var) and n.kind == ex.SECRET
+
+    if reference_dominant(e, d):
+        return RUD, ("dominant",)
+    if not any(map(secret, ex.var_counts(e))):
+        return SID, ("no-secret",)
+    if secret(e):
+        return SDD, ("secret",)
+    if isinstance(e, ex.Binary) and e.left is e.right and e.op in "^-":
+        return SID, ("self-cancel",)
+    if isinstance(e, ex.Unary):
+        dist, trace = reference_infer(e.operand, d)
+        return (UKD, ("unknown",)) if dist is UKD else \
+            (dist, trace + ("complement",))
+    (ld, lt), (rd, rt) = reference_infer(e.left, d), \
+        reference_infer(e.right, d)
+    if e.left is e.right:
+        if at_most_sid(ld):
+            return SID, lt + ("self-op",)
+        if ld is SDD and e.op in "&|":
+            return SDD, lt + ("self-absorb",)
+    both = lt + rt
+    product = e.op in "&|*@"
+    fresh_left = reference_dominant(e.left, d) - ex.rvars(e.right)
+    fresh_right = reference_dominant(e.right, d) - ex.rvars(e.left)
+    if product and ld is RUD and rd is RUD:
+        if fresh_left:
+            return SID, both + ("masked-product",)
+        if fresh_right:
+            return SID, both + ("masked-product", "commute")
+    if at_most_sid(ld) and at_most_sid(rd) and \
+            not ex.rvars(e.left) & ex.rvars(e.right):
+        return SID, both + ("independent-op",)
+    if product:
+        if secret(e.left) and rd is RUD and fresh_right:
+            return SDD, both + ("tainted-product",)
+        if secret(e.right) and ld is RUD and fresh_left:
+            return SDD, both + ("tainted-product", "commute")
+    return UKD, ("unknown",)
+
+
+class TestMasksAgainstReference:
+    @pytest.mark.parametrize("d", [None, make_domain(2), D8],
+                             ids=["unmasked", "2-bit", "8-bit"])
+    def test_dominance_and_rules_match_definitions(self, d):
+        rng = random.Random(15)
+        memo = RunMemo(d)   # one run's memo, shared by every expression
+        fired = set()
+        for _ in range(600):
+            e = random_dag(rng)
+            want = reference_dominant(e, d)
+            assert dominant_vars(e, d) == want, ex.pretty(e)
+            assert dominant_vars(e, d, memo) == want, ex.pretty(e)
+            j = infer(e, d)
+            assert (j.dist, j.rule_trace) == reference_infer(e, d), \
+                ex.pretty(e)
+            assert infer(e, d, memo=memo) == j
+            fired.update(j.rule_trace)
+        assert {"dominant", "no-secret", "masked-product", "independent-op",
+                "tainted-product", "self-op", "complement"} <= fired
+
+
+def isw_text(order: int) -> str:
+    """ISW multiplication of a and b at the given order: shares
+    x_i = a_i (i > 0) and x_0 = a ^ a_1 ^ ... (likewise y for b), a
+    fresh r_i_j for each i < j, outputs c_i = x_i y_i ^ (cross terms)."""
+    n = order + 1
+    randoms = [f"{s}{i}" for s in "ab" for i in range(1, n)] + \
+        [f"r{i}_{j}" for i in range(n) for j in range(i + 1, n)]
+    params = ", ".join(["a: secret", "b: secret"]
+                       + [f"{r}: random" for r in randoms])
+    lines = [f"fn Isw({params}) {{"]
+    xs, ys = ["x0"], ["y0"]
+    for s, shares in (("a", xs), ("b", ys)):
+        tail = [f"{s}{i}" for i in range(1, n)]
+        lines.append(f"  {shares[0]} = {' ^ '.join([s] + tail)};")
+        shares += tail
+    cross = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            lines.append(f"  s{i}_{j} = r{i}_{j} ^ ({xs[i]} @ {ys[j]});")
+            lines.append(f"  s{j}_{i} = s{i}_{j} ^ ({xs[j]} @ {ys[i]});")
+            cross[i, j], cross[j, i] = f"r{i}_{j}", f"s{j}_{i}"
+    for i in range(n):
+        terms = [f"({xs[i]} @ {ys[i]})"] + \
+            [cross[i, j] for j in range(n) if j != i]
+        lines.append(f"  c{i} = {' ^ '.join(terms)};")
+    lines += [f"  return {', '.join(f'c{i}' for i in range(n))};", "}"]
+    return "\n".join(lines)
+
+
+def test_rules_count_no_variables_on_isw():
+    # the rules read variable sets from the memo's bitmasks, never from
+    # the expr module's per-node Counters
+    p = parse(isw_text(5))
+    with mock.patch.object(ex, "var_counts", wraps=ex.var_counts) as spy:
+        report = pm_check(p, EngineConfig(D8, engine="type-only"))
+    assert spy.call_count == 0
+    assert len(report.verdicts) > 100
+    assert all(v.method == METHOD_TYPE and v.dist is not UKD
+               for v in report.verdicts)

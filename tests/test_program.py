@@ -166,6 +166,37 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse(program("a = k;\nreturn a;") + " fn")
 
+    @pytest.mark.parametrize("constant", ["²", "1²", "012", "0٣"])
+    def test_constant_int_refuses_is_a_parse_error(self, constant):
+        # str.isdigit digits that are not decimal make a constant token,
+        # and so does a leading 0; neither is a number
+        with pytest.raises(ParseError) as err:
+            parse(program(f"x = k ^ {constant};\nreturn x;"))
+        assert str(err.value) == \
+            f"malformed constant {constant!r} (line 2, col 9)"
+
+    def test_other_unicode_digits_are_decimal(self):
+        p = parse(program("x = k ^ ٣;\nreturn x;"))
+        assert str(p.statements[0]) == "x = k ^ 3;"
+
+    def test_errors_in_later_lines_carry_their_position(self):
+        cases = {
+            "fn T(k: secret) {\n  x = k;\n  return x;\n} fn": (4, 3),
+            "fn T(k: secret) {\n\tx = k ^ $;": (2, 10),
+            "fn T(k: secret) {\n  x = k;\n  return x  # no ';'": (3, 13),
+            "fn T(k: secret) {\n  x = k ^\n": (3, 1),
+        }
+        for text, (line, col) in cases.items():
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert (err.value.line, err.value.col) == (line, col), text
+        with pytest.raises(UseBeforeDef, match=r"'y' .*\(line 3, col 4\)"):
+            parse(program("x = k ^\n  (y);\nreturn x;"))
+        with pytest.raises(UnknownClass, match=r"\(line 2\)"):
+            parse("fn T(k: secret,\n r: rand) { x = k; return x; }")
+        with pytest.raises(NotSSA, match=r"\(line 3\)"):
+            parse(program("x = k;\nx = k;\nreturn x;"))
+
 
 class TestExecute:
     def test_matches_expansion_eval(self):

@@ -5,6 +5,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -201,6 +202,21 @@ class TestCheckSat:
     def test_stderr_gives_the_reason(self, tmp_path, query):
         cmd = stub_solver(tmp_path, "moan.sh", "echo 'bad input' >&2")
         got = check_sat(query, cmd)
+        assert (got.kind, got.reason) == (UNKNOWN, "bad input")
+
+    def test_stderr_written_before_the_question_counts(self, tmp_path,
+                                                       query):
+        # the solver complains and exits before a word is sent to it
+        cmd = stub_solver(tmp_path, "moan.sh", "echo 'bad input' >&2")
+        real_start = SolverSession._start
+
+        def slow_start(session):
+            commands = real_start(session)
+            session._proc.wait()
+            return commands
+
+        with mock.patch.object(SolverSession, "_start", slow_start):
+            got = check_sat(query, cmd)
         assert (got.kind, got.reason) == (UNKNOWN, "bad input")
 
     def test_stdout_comes_before_stderr(self, tmp_path, query):
