@@ -61,7 +61,6 @@ from .expr import (
     eval_expr,
     eval_vec,
     neg,
-    occurrences,
     postorder,
     pretty,
     replace,
@@ -69,7 +68,6 @@ from .expr import (
     size,
     subterms,
     var,
-    var_counts,
     variables,
 )
 from .infer import (

@@ -65,6 +65,7 @@ import numpy as np
 from . import expr as ex
 from .domain import OPS, DomainConfig
 from .errors import BudgetExceeded, UncoveredVariable, VariableTimeout
+from .infer import leaves
 
 DEFAULT_BUDGET = 1 << 28
 _MATRIX_CELL_CAP = 1 << 26
@@ -222,10 +223,10 @@ def _sigma_space(e: ex.Expr, d: DomainConfig, budget: int, memo=None):
 
     Returns the space and the sigma-index bits that hold the publics.
     """
-    leaves = ex.var_counts(e)
-    rows = sorted(v.name for v in leaves if v.kind != ex.RANDOM)
-    cols = sorted(v.name for v in leaves if v.kind == ex.RANDOM)
-    publics = {v.name for v in leaves if v.kind == ex.PUBLIC}
+    found = leaves(e, d, memo)
+    rows = [v.name for v in found if v.kind != ex.RANDOM]
+    cols = [v.name for v in found if v.kind == ex.RANDOM]
+    publics = {v.name for v in found if v.kind == ex.PUBLIC}
     public_mask = sum(d.mask << d.bits * (len(rows) - 1 - i)
                       for i, name in enumerate(rows) if name in publics)
     return _Space(d, rows, cols, {}, budget, _kept(memo)), public_mask
@@ -398,13 +399,12 @@ def _counts_matrix(e, d, space, jobs, deadline):
 def distribution(e: ex.Expr, sigma: dict[str, int], d: DomainConfig,
                  budget: int = DEFAULT_BUDGET) -> CountVector:
     """Exact value counts of e under sigma, over all random assignments."""
-    leaves = ex.var_counts(e)
-    nonrandom = {v.name for v in leaves if v.kind != ex.RANDOM}
-    missing = nonrandom - set(sigma)
+    found = leaves(e, d)
+    nonrandom = [v.name for v in found if v.kind != ex.RANDOM]
+    missing = [n for n in nonrandom if n not in sigma]
     if missing:
-        raise UncoveredVariable(
-            f"sigma misses {sorted(missing)} for {ex.pretty(e)}")
-    rand_names = sorted(v.name for v in leaves if v.kind == ex.RANDOM)
+        raise UncoveredVariable(f"sigma misses {missing} for {ex.pretty(e)}")
+    rand_names = [v.name for v in found if v.kind == ex.RANDOM]
     space = _Space(d, [], rand_names, {n: sigma[n] for n in nonrandom},
                    budget)
     counts = np.zeros(d.size, dtype=np.int64)
@@ -421,7 +421,7 @@ def effective_variables(e: ex.Expr, d: DomainConfig,
     they fit in EFFECTIVE_BITS_BUDGET bits; beyond that, conservatively,
     every name. A run's memo keeps the values of small grids.
     """
-    names = sorted(ex.variables(e))
+    names = [v.name for v in leaves(e, d, memo)]
     if d.bits * len(names) > EFFECTIVE_BITS_BUDGET:
         return set(names)
     space = _Space(d, names, [], {}, 1 << EFFECTIVE_BITS_BUDGET, _kept(memo))

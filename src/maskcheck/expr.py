@@ -4,22 +4,20 @@ Every node is built through the module constructors (const, var, neg,
 binop) and deduplicated in a global table, so structurally equal
 expressions are the *same object*. That keeps fully expanded
 computations affordable: the expansion of a straight-line program is a
-tree semantically, but shared subtrees are stored once, and all the
-per-node analyses (variable counts, sizes, evaluation) memoize on node
+tree semantically, but shared subtrees are stored once, and the
+per-node analyses (sizes, printing, evaluation) memoize on node
 identity.
 
 Every analysis walks an expression with `postorder`: its distinct nodes,
 children first, from an explicit stack, since expansion depth grows with
 program length. The global memos stop the walk at nodes they hold.
 
-Tree-level quantities such as size and variable multiplicity still
-count shared subtrees once per occurrence, matching the semantics of
-the expanded tree.
+Size, a tree-level quantity, still counts shared subtrees once per
+occurrence, matching the semantics of the expanded tree.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import groupby
 
 import numpy as np
@@ -157,6 +155,17 @@ def postorder(e: Expr, stop=None) -> list[Expr]:
     return order
 
 
+def variables(e: Expr) -> set[str]:
+    """Names of all variables occurring in e."""
+    return {n.name for n in postorder(e) if isinstance(n, Var)}
+
+
+def rvars(e: Expr) -> set[str]:
+    """Names of the random variables occurring in e."""
+    return {n.name for n in postorder(e)
+            if isinstance(n, Var) and n.kind == RANDOM}
+
+
 def rebuild(node: Expr, kids: tuple[Expr, ...]) -> Expr:
     """node with its children replaced by kids; node itself if unchanged."""
     if isinstance(node, Binary):
@@ -172,7 +181,6 @@ def rebuild(node: Expr, kids: tuple[Expr, ...]) -> Expr:
 # --- memoized tree analyses ------------------------------------------------
 
 _SIZE: dict[Expr, int] = {}
-_COUNTS: dict[Expr, Counter] = {}
 _PRETTY: dict[Expr, str] = {}
 
 
@@ -185,46 +193,6 @@ def size(e: Expr) -> int:
                 _SIZE[node] = 1 + sum(_SIZE[c] for c in children(node))
         got = _SIZE[e]
     return got
-
-
-def var_counts(e: Expr) -> Counter:
-    """Occurrences of each Var leaf, with tree multiplicity."""
-    got = _COUNTS.get(e)
-    if got is None:
-        for node in postorder(e, _COUNTS.__contains__):
-            if node in _COUNTS:
-                continue
-            if isinstance(node, Var):
-                counts = Counter({node: 1})
-            else:
-                counts = Counter()
-                for c in children(node):
-                    counts.update(_COUNTS[c])
-            _COUNTS[node] = counts
-        got = _COUNTS[e]
-    return got
-
-
-def variables(e: Expr) -> set[str]:
-    """Names of all variables occurring in e."""
-    return {v.name for v in var_counts(e)}
-
-
-def rvars(e: Expr) -> set[str]:
-    """Names of the random variables occurring in e."""
-    return {v.name for v in var_counts(e) if v.kind == RANDOM}
-
-
-def var_leaves(e: Expr) -> set[Var]:
-    return set(var_counts(e))
-
-
-def occurrences(e: Expr, t: Expr) -> int:
-    """How many times subterm t occurs in the tree of e."""
-    memo: dict[Expr, int] = {}
-    for node in postorder(e, lambda n: n is t):
-        memo[node] = 1 if node is t else sum(memo[c] for c in children(node))
-    return memo[e]
 
 
 def substitute(e: Expr, mapping: dict[Expr, Expr]) -> Expr:

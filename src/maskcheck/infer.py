@@ -105,8 +105,10 @@ class RunMemo:
     * masks - per node, three sets of variables as bitmasks: those that
       occur in it, those that occur more than once (tree multiplicity)
       and the randoms reachable through bijective steps. Each Var node
-      gets one bit, in the order they are first seen: `names` gives
-      each bit's name, `secrets` and `randoms` the bits of those kinds.
+      gets one bit, in the order they are first seen: `vars` gives
+      each bit's Var node, `secrets` and `randoms` the bits of those
+      kinds. `leaves` decodes a node's occurs mask; every stage of a
+      run that asks which variables occur in a node asks it.
     * blocks - counting's kept block values: per block layout, the
       last expression evaluated there and its values.
     * laws - per node, what one pass of the algebraic laws makes of it
@@ -121,7 +123,7 @@ class RunMemo:
         self.judged: dict[ex.Expr, Judgement] = {}
         self.links: dict[ex.Expr, list[ex.Expr]] = {}
         self.masks: dict[ex.Expr, tuple[int, int, int]] = {}
-        self.names: list[str] = []
+        self.vars: list[ex.Var] = []
         self.secrets = 0
         self.randoms = 0
         self.blocks: dict = {}
@@ -165,8 +167,8 @@ def _masks(e: ex.Expr, d: DomainConfig | None,
             elif isinstance(node, ex.Unary):
                 got = masks[node.operand]
             elif isinstance(node, ex.Var):
-                bit = 1 << len(memo.names)
-                memo.names.append(node.name)
+                bit = 1 << len(memo.vars)
+                memo.vars.append(node)
                 if node.kind == ex.SECRET:
                     memo.secrets |= bit
                 if node.kind == ex.RANDOM:
@@ -177,6 +179,24 @@ def _masks(e: ex.Expr, d: DomainConfig | None,
             masks[node] = got
         got = masks[e]
     return got
+
+
+def _vars(mask: int, memo: RunMemo) -> list[ex.Var]:
+    """The Var nodes of mask's bits, in bit order."""
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(memo.vars[low.bit_length() - 1])
+        mask ^= low
+    return found
+
+
+def leaves(e: ex.Expr, d: DomainConfig | None = None,
+           memo: RunMemo | None = None) -> list[ex.Var]:
+    """e's variables, sorted by name, decoded from its occurs mask; a
+    call without a run's memo gets a fresh one."""
+    memo = _run_memo(memo, d)
+    return sorted(_vars(_masks(e, d, memo)[0], memo), key=lambda v: v.name)
 
 
 def _dominant(e: ex.Expr, d: DomainConfig | None, memo: RunMemo) -> int:
@@ -195,13 +215,7 @@ def dominant_vars(e: ex.Expr, d: DomainConfig | None = None,
     variable sets of each node for every later call.
     """
     memo = _run_memo(memo, d)
-    mask = _dominant(e, d, memo)
-    names = set()
-    while mask:
-        low = mask & -mask
-        names.add(memo.names[low.bit_length() - 1])
-        mask ^= low
-    return names
+    return {v.name for v in _vars(_dominant(e, d, memo), memo)}
 
 
 def _is_secret(node: ex.Expr) -> bool:

@@ -11,7 +11,8 @@ Four passes run in a fixed order until nothing changes:
 3. eliminate_dominated   - a subexpression dominated by a random r that
    occurs nowhere else collapses to r itself (it is a fresh uniform).
 4. apply_meta_theorems   - pattern table of known equivalences, each
-   guarded by the same "r occurs nowhere else" side condition.
+   guarded by the same "r occurs nowhere else" side condition; besides,
+   r may not occur in what any other metavariable of the pattern binds.
 
 Passes 3 and 4 share one loop, `_rewrite_innermost`: rewrite the
 innermost subterm a rule fires on, everywhere it occurs, and restart.
@@ -24,12 +25,12 @@ reduced expression e-hat is recorded as settled under its pattern table
 nodes without descending into them. That is exact: if u is settled and
 e contains u, no subterm t of u can fire in e, since every occurrence
 of a random r of u that lies outside t also lies outside every
-occurrence of t in e, and dominance and pattern matches depend on t
-alone; u cannot fire either, being a fixpoint in its own context. So
-the first rewrite that fires, in (size, print) order, is the same one.
-Along a chain `e_{i+1} = e_i op r`, each step then scans O(1) new nodes;
-a firing of eliminate_ineffective rewrites the whole expression, in one
-walk however many variables it zeroes.
+occurrence of t in e, and dominance, pattern matches and their bindings
+depend on t alone; u cannot fire either, being a fixpoint in its own
+context. So the first rewrite that fires, in (size, print) order, is
+the same one. Along a chain `e_{i+1} = e_i op r`, each step then scans
+O(1) new nodes; a firing of eliminate_ineffective rewrites the whole
+expression, in one walk however many variables it zeroes.
 
 Every pass preserves the joint distribution of the expression for each
 fixing of secrets and publics, never grows the tree, and never invents
@@ -44,7 +45,7 @@ from . import expr as ex
 from .counting import _check_deadline, effective_variables
 from .counting import is_effective  # noqa: F401  re-exported
 from .domain import OPS, DomainConfig
-from .infer import RunMemo, _run_memo, dominant_vars
+from .infer import RunMemo, _dominant, _masks, _run_memo, _vars, leaves
 from .program import _END, _Parser
 
 
@@ -55,8 +56,9 @@ def eliminate_ineffective(e: ex.Expr, d: DomainConfig,
     One enumeration decides them all: zeroing one leaves the value of e,
     and so the answer for every other variable, as it was.
     """
+    memo = _run_memo(memo, d)
     effective = effective_variables(e, d, memo)
-    zeroed = {leaf: ex.ZERO for leaf in ex.var_leaves(e)
+    zeroed = {leaf: ex.ZERO for leaf in leaves(e, d, memo)
               if leaf.name not in effective}
     return ex.substitute(e, zeroed) if zeroed else e
 
@@ -105,12 +107,14 @@ def _match_law(symbol, left, right):
     return None
 
 
-def _exclusive_to(e: ex.Expr, t: ex.Expr, r_name: str) -> bool:
-    """Does every occurrence of random r in e sit inside an occurrence of t?"""
-    leaf = ex.var(r_name, ex.RANDOM)
-    total = ex.var_counts(e).get(leaf, 0)
-    inside = ex.var_counts(t).get(leaf, 0)
-    return total == ex.occurrences(e, t) * inside
+def _outside(e: ex.Expr, t: ex.Expr, memo: RunMemo) -> int:
+    """Bitmask of the variables that occur in e outside every occurrence
+    of its subterm t: one walk of e that stops at t."""
+    outside = 0
+    for node in ex.postorder(e, lambda n: n is t):
+        if isinstance(node, ex.Var) and node is not t:
+            outside |= _masks(node, memo.d, memo)[0]
+    return outside
 
 
 def _rewrite_innermost(e: ex.Expr, rewrite, settled, deadline) -> ex.Expr:
@@ -137,16 +141,15 @@ def eliminate_dominated(e: ex.Expr, d: DomainConfig,
     """Collapse r-dominated subexpressions to r when r occurs nowhere else.
 
     The scan skips the nodes in `settled`, each a fixpoint of this pass.
+    Of several such r, the smallest name is taken.
     """
-    if memo is None:
-        memo = RunMemo(d)   # shared by this call's dominance questions
+    memo = _run_memo(memo, d)
 
     def collapse(e, t):
-        if not isinstance(t, (ex.Var, ex.Const)):
-            for r_name in sorted(dominant_vars(t, d, memo)):
-                if _exclusive_to(e, t, r_name):
-                    return ex.var(r_name, ex.RANDOM)
-        return None
+        if isinstance(t, (ex.Var, ex.Const)) or not _dominant(t, d, memo):
+            return None
+        free = _dominant(t, d, memo) & ~_outside(e, t, memo)
+        return min(_vars(free, memo), key=lambda v: v.name, default=None)
     return _rewrite_innermost(e, collapse, settled, deadline)
 
 
@@ -241,26 +244,36 @@ def _instantiate(pattern: ex.Expr, bind: dict) -> ex.Expr:
 
 
 def apply_meta_theorems(e: ex.Expr, d: DomainConfig, patterns=None,
-                        settled=frozenset(),
-                        deadline: float | None = None) -> ex.Expr:
+                        settled=frozenset(), deadline: float | None = None,
+                        memo: RunMemo | None = None) -> ex.Expr:
     """Apply the pattern table to a fixpoint, innermost matches first,
     patterns in table order, a rewrite of a subterm to itself skipped.
 
     The distinguished random metavariable only matches a random
-    variable that occurs nowhere outside the matched subterm. The scan
-    skips the nodes in `settled`, each a fixpoint of this table.
+    variable that occurs nowhere outside the matched subterm and in no
+    other metavariable's binding. The scan skips the nodes in `settled`,
+    each a fixpoint of this table. A run's memo over d keeps the
+    variable sets these side conditions read.
     """
+    memo = _run_memo(memo, d)
     if patterns is None:
         patterns = BUILTIN_META
 
     def first_match(e, t):
+        outside = None
         for lhs, rhs in patterns:
             bind: dict = {}
             if not _match(lhs, t, bind):
                 continue
             r = bind.get("r")
-            if r is not None and not _exclusive_to(e, t, r.name):
-                continue
+            if r is not None:
+                bit = _masks(r, d, memo)[0]
+                if outside is None:
+                    outside = _outside(e, t, memo)
+                if bit & outside or any(bit & _masks(b, d, memo)[0]
+                                        for name, b in bind.items()
+                                        if name != "r"):
+                    continue
             replacement = _instantiate(rhs, bind)
             if replacement is not t:
                 return replacement
@@ -293,7 +306,7 @@ def simplify(e: ex.Expr, d: DomainConfig, patterns=None,
         _check_deadline(deadline)
         e = apply_algebraic_laws(e, memo)
         e = eliminate_dominated(e, d, memo, settled, deadline)
-        e = apply_meta_theorems(e, d, patterns, settled, deadline)
+        e = apply_meta_theorems(e, d, patterns, settled, deadline, memo)
     settled.add(e)
     return e
 

@@ -210,12 +210,12 @@ def _prefix(e: ex.Expr, d: DomainConfig) -> Prefix:
         raise TooManyCopies(
             f"{len(rand_names)} randoms x {n} bits would need 2^{m} copies")
     copies = 1 << m
-    leaves = ex.var_counts(e)
+    order = ex.postorder(e)
+    leaves = [v for v in order if isinstance(v, ex.Var)]
     publics = sorted(v.name for v in leaves if v.kind == ex.PUBLIC)
     secrets = sorted(v.name for v in leaves if v.kind == ex.SECRET)
 
     lines = []
-    order = ex.postorder(e)
     if any(isinstance(t, ex.Binary) and OPS[t.op].smt == "gfmul"
            for t in order):
         lines.append(_gfmul_define(d))
@@ -476,8 +476,8 @@ def _replay(e: ex.Expr, d: DomainConfig, model: dict[str, int]):
     two fixings, over every value c and both orders of the pair."""
     from .counting import distribution  # import here: counting pulls in numpy
 
-    rows = sorted((v.name, v.kind == ex.PUBLIC) for v in ex.var_counts(e)
-                  if v.kind != ex.RANDOM)
+    rows = sorted((v.name, v.kind == ex.PUBLIC) for v in ex.postorder(e)
+                  if isinstance(v, ex.Var) and v.kind != ex.RANDOM)
     try:
         s1 = {n: model[f"p_{n}" if public else f"k_{n}"] for n, public in rows}
         s2 = {n: model[f"p_{n}" if public else f"kk_{n}"]

@@ -52,7 +52,7 @@ from .errors import (
     TooManyCopies,
     VariableTimeout,
 )
-from .infer import SDD, SID, UKD, DistType, RunMemo, infer
+from .infer import SDD, SID, UKD, DistType, RunMemo, infer, leaves
 from .program import Program, expr_of
 from .reduction import simplify
 from .smt import GapSearch, SolverSession, emit_query, encode_psi
@@ -307,11 +307,13 @@ def _strength(p: Program, v: VariableVerdict, cfg: EngineConfig,
             _add_note(v, f"{type(err).__name__}: {err}")
             return
         report.reduced[v.name] = e_hat
-    den = cfg.domain.size ** len(ex.rvars(e_hat))
+    randoms = sum(v.kind == ex.RANDOM
+                  for v in leaves(e_hat, cfg.domain, memo))
+    den = cfg.domain.size ** randoms
     if v.dist in (DistType.RUD, DistType.SID):
         v.qms = Qms(den, den)
         return
-    if not ex.rvars(e_hat):
+    if not randoms:
         v.qms = Qms(0, 1)
         return
     qms = report.counted.get(v.name)

@@ -1,7 +1,9 @@
+import functools
 import os
 import shutil
 import stat
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -54,9 +56,45 @@ def replayed_gap(e, d, witness) -> int:
 
     s1, s2, c = witness
     assert all(s1[v.name] == s2[v.name]
-               for v in ex.var_counts(e) if v.kind == ex.PUBLIC)
+               for v in var_counts(e) if v.kind == ex.PUBLIC)
     return int(distribution(e, s1, d).counts[c]
                - distribution(e, s2, d).counts[c])
+
+
+def deep_chain(n: int, prefix: str = "") -> str:
+    """v0 = k ^ r0, then v_i = v_{i-1} @ r1 (odd i) or v_{i-1} ^ r0,
+    every name starting with prefix."""
+    k, r0, r1, v = (prefix + name for name in ("k", "r0", "r1", "v"))
+    lines = [f"fn Deep({k}: secret, {r0}: random, {r1}: random) {{",
+             f"  {v}0 = {k} ^ {r0};"]
+    for i in range(1, n + 1):
+        step = f"@ {r1}" if i % 2 else f"^ {r0}"
+        lines.append(f"  {v}{i} = {v}{i - 1} {step};")
+    lines += [f"  return {v}{n};", "}"]
+    return "\n".join(lines)
+
+
+# --- reference variable counts -------------------------------------------------
+# Tree multiplicity, by definition: the tests check maskcheck's variable
+# bitmasks and reduction's side conditions against these.
+
+@functools.cache
+def var_counts(e) -> Counter:
+    """Occurrences of each Var leaf of e, a shared subterm counted once
+    per occurrence."""
+    from maskcheck import expr as ex
+
+    if isinstance(e, ex.Var):
+        return Counter({e: 1})
+    return sum(map(var_counts, ex.children(e)), Counter())
+
+
+@functools.cache
+def occurrences(e, t) -> int:
+    """How many times subterm t occurs in the tree of e."""
+    from maskcheck import expr as ex
+
+    return 1 if e is t else sum(occurrences(c, t) for c in ex.children(e))
 
 
 def stub_solver(tmp_path, name, body) -> str:

@@ -32,19 +32,7 @@ from maskcheck import (
 from maskcheck import expr as ex
 from maskcheck.domain import gf_table
 from maskcheck.program import MAX_NESTING
-
-
-def deep_chain(n: int, prefix: str = "") -> str:
-    """v0 = k ^ r0, then v_i = v_{i-1} @ r1 (odd i) or v_{i-1} ^ r0,
-    every name starting with prefix."""
-    k, r0, r1, v = (prefix + name for name in ("k", "r0", "r1", "v"))
-    lines = [f"fn Deep({k}: secret, {r0}: random, {r1}: random) {{",
-             f"  {v}0 = {k} ^ {r0};"]
-    for i in range(1, n + 1):
-        step = f"@ {r1}" if i % 2 else f"^ {r0}"
-        lines.append(f"  {v}{i} = {v}{i - 1} {step};")
-    lines += [f"  return {v}{n};", "}"]
-    return "\n".join(lines)
+from conftest import deep_chain
 
 
 def stack_depth() -> int:

@@ -6,6 +6,7 @@ from unittest import mock
 import pytest
 
 from maskcheck import (
+    METHOD_COUNT_BF,
     METHOD_REDUCED,
     METHOD_TYPE,
     RUD,
@@ -25,10 +26,12 @@ from maskcheck import (
     neg,
     parse,
     pm_check,
+    qms_compute,
     var,
 )
 from maskcheck import expr as ex
 from maskcheck import verify
+from conftest import deep_chain, var_counts
 
 K = var("k", ex.SECRET)
 K2 = var("k2", ex.SECRET)
@@ -478,7 +481,7 @@ def reference_reach(e: ex.Expr, d) -> set[str]:
 
 
 def reference_dominant(e: ex.Expr, d) -> set[str]:
-    once = {v.name for v, k in ex.var_counts(e).items()
+    once = {v.name for v, k in var_counts(e).items()
             if v.kind == ex.RANDOM and k == 1}
     return once & reference_reach(e, d)
 
@@ -490,7 +493,7 @@ def reference_infer(e: ex.Expr, d) -> tuple:
 
     if reference_dominant(e, d):
         return RUD, ("dominant",)
-    if not any(map(secret, ex.var_counts(e))):
+    if not any(map(secret, var_counts(e))):
         return SID, ("no-secret",)
     if secret(e):
         return SDD, ("secret",)
@@ -577,13 +580,20 @@ def isw_text(order: int) -> str:
     return "\n".join(lines)
 
 
-def test_rules_count_no_variables_on_isw():
-    # the rules read variable sets from the memo's bitmasks, never from
-    # the expr module's per-node Counters
-    p = parse(isw_text(5))
-    with mock.patch.object(ex, "var_counts", wraps=ex.var_counts) as spy:
-        report = pm_check(p, EngineConfig(D8, engine="type-only"))
-    assert spy.call_count == 0
-    assert len(report.verdicts) > 100
+def test_runs_read_variable_sets_from_the_memo_only():
+    # every stage of a run reads a node's variables from the memo's
+    # bitmasks, never from a walk of the expr module
+    corpus = [parse(path.read_text())
+              for path in sorted(corpus_dir().glob("*.mv"))]
+    with mock.patch.object(ex, "variables", wraps=ex.variables) as names, \
+            mock.patch.object(ex, "rvars", wraps=ex.rvars) as randoms:
+        for p in corpus:
+            qms_compute(p, EngineConfig(D8))
+        chain = qms_compute(parse(deep_chain(50)),
+                            EngineConfig(make_domain(4)))
+        isw = pm_check(parse(isw_text(5)), EngineConfig(D8, "type-only"))
+    assert names.call_count == randoms.call_count == 0
+    assert any(v.method == METHOD_COUNT_BF for v in chain.verdicts)
+    assert len(isw.verdicts) > 100
     assert all(v.method == METHOD_TYPE and v.dist is not UKD
-               for v in report.verdicts)
+               for v in isw.verdicts)

@@ -86,7 +86,7 @@ from maskcheck import (
 from maskcheck import domain
 from maskcheck import expr as ex
 from maskcheck.domain import BINARY_OPS, UNARY_OPS
-from conftest import GOUBIN, replayed_gap
+from conftest import GOUBIN, replayed_gap, var_counts
 from fragment_solver import decide
 from randprog import BINOPS, random_expr, random_program
 
@@ -165,7 +165,7 @@ def sigmas(e, d):
 def ref_pairs(e, d):
     """(sigma1, counts1, sigma2, counts2) over sigma pairs that agree
     on the publics, in lexicographic order."""
-    publics = {v.name for v in ex.var_counts(e) if v.kind == ex.PUBLIC}
+    publics = {v.name for v in var_counts(e) if v.kind == ex.PUBLIC}
     dists = [(s, ref_distribution(e, s, d)) for s in sigmas(e, d)]
     for s1, c1 in dists:
         for s2, c2 in dists:
@@ -282,7 +282,7 @@ def test_zeroing_in_one_walk_equals_one_replace_per_leaf(case):
     e, d = case
     effective = effective_variables(e, d)
     expected = e
-    for leaf in sorted(ex.var_leaves(e), key=ex.pretty):
+    for leaf in sorted(var_counts(e), key=ex.pretty):
         if leaf.name not in effective:
             expected = ex.replace(expected, leaf, ex.ZERO)
     assert eliminate_ineffective(e, d) is expected
@@ -462,7 +462,7 @@ def reducible_forms(rng, d):
         part = random_expr(rng, d.bits, depth=2)
         roll = rng.random()
         if roll < 0.3:
-            v = rng.choice(sorted(ex.var_leaves(part), key=ex.pretty)
+            v = rng.choice(sorted(var_counts(part), key=ex.pretty)
                            or [ex.ONE])
             part = ex.binop("^", part, ex.binop("&", v, ex.ZERO))
         elif roll < 0.6:
@@ -496,7 +496,7 @@ def test_kept_blocks_equal_fresh_evaluation(jobs, case, data):
     unrelated to it, with one memo gives the answers of fresh calls; and
     eval_vec stopped at any subterm's values gives the whole values."""
     e, d = case
-    leaves = sorted(ex.var_leaves(e), key=ex.pretty) or [ex.ONE]
+    leaves = sorted(var_counts(e), key=ex.pretty) or [ex.ONE]
     forms = [e]
     for _ in range(data.draw(st.integers(1, 3))):
         forms.append(ex.binop(data.draw(st.sampled_from(OPS)),
@@ -547,7 +547,7 @@ def serial_cases(draw, ops=SERIAL_OPS, consts=None, max_bits=4,
         st.builds(ex.binop, st.sampled_from(ops), inner, inner)),
         max_leaves=8))
     for v in leaves:    # every pool variable occurs
-        if v not in ex.var_leaves(e):
+        if v not in var_counts(e):
             e = ex.binop(draw(st.sampled_from(ops)), e, v)
     if set(ops) & set(CARRYING) and draw(st.booleans()):
         shared = ex.binop(draw(st.sampled_from(CARRYING)), e,

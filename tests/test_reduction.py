@@ -1,5 +1,6 @@
 """Expression reductions: each pass alone and the fixpoint."""
 
+import random
 import time
 from unittest import mock
 
@@ -8,6 +9,8 @@ import pytest
 
 from maskcheck import (
     BUILTIN_META,
+    SDD,
+    EngineConfig,
     RunMemo,
     VariableTimeout,
     apply_algebraic_laws,
@@ -27,10 +30,16 @@ from maskcheck import (
     parse,
     parse_pattern,
     pretty,
+    qms_compute,
     simplify,
     var,
 )
+from maskcheck import cli
 from maskcheck import expr as ex
+from maskcheck.infer import _masks
+from maskcheck.reduction import _instantiate, _outside
+from conftest import occurrences, var_counts
+from randprog import BINOPS, random_expr
 
 K = var("k", ex.SECRET)
 R0 = var("r0", ex.RANDOM)
@@ -345,3 +354,84 @@ class TestSharedMemo:
         with pytest.raises(VariableTimeout):
             apply_meta_theorems(K, D4, deadline=past)
 
+
+
+class TestOutside:
+    @staticmethod
+    def shared_expr(rng):
+        """An expression whose later nodes reuse earlier ones, so a
+        subterm occurs more than once."""
+        pool = [R0, R1, var("r2", ex.RANDOM), K, P, const(2)]
+        for _ in range(rng.randint(2, 9)):
+            a, b = rng.choice(pool), rng.choice(pool)
+            pool.append(neg(a) if rng.random() < 0.1 else
+                        binop(rng.choice("^^+-&@*"), a, b))
+        return pool[-1]
+
+    def test_agrees_with_occurrence_counts(self):
+        # v occurs outside t exactly when its count in e is not the
+        # count of t in e times its count in t
+        rng = random.Random(28)
+        memo = RunMemo(D4)      # one run's memo, shared by every e
+        for _ in range(300):
+            e = self.shared_expr(rng)
+            for t in ex.subterms(e):
+                want = 0
+                for v, n in var_counts(e).items():
+                    if n != occurrences(e, t) * var_counts(t)[v]:
+                        want |= _masks(v, D4, memo)[0]
+                assert _outside(e, t, memo) == want, \
+                    (pretty(e), pretty(t))
+
+
+# `r ^ ((2 * r) & e) => r` holds only for an e free of r; here e is r
+SHARED_BINDING = """fn F(k: secret, r: random) {
+  t = (2 * r) & r; u = r ^ t; y = k ^ u; return y;
+}"""
+
+
+class TestBindingRule:
+    @pytest.mark.parametrize("bits, qms", [(2, (2, 4)), (4, (12, 16)),
+                                           (8, (244, 256))])
+    def test_r_inside_another_binding_is_not_rewritten(self, bits, qms,
+                                                       tmp_path, capsys):
+        report = qms_compute(parse(SHARED_BINDING),
+                             EngineConfig(make_domain(bits)))
+        y = report.verdicts[-1]
+        assert (y.name, y.dist, y.qms.num, y.qms.den) == ("y", SDD, *qms)
+        path = tmp_path / "f.mv"
+        path.write_text(SHARED_BINDING)
+        assert cli.run(["check", str(path), "--bits", str(bits)]) == 1
+
+    def test_refused_when_another_binding_holds_r(self):
+        e = xor(R0, binop("&", binop("*", const(2), R0), R0))
+        assert apply_meta_theorems(e, D8) is e
+
+    def test_builtin_rewrites_keep_every_distribution(self):
+        """Each built-in pattern, its other metavariables bound to small
+        expressions that often hold r, alone or in a context that may
+        hold r: a rewrite keeps every fixing's distribution."""
+        rng = random.Random(28)
+        fired = refused = 0
+        for lhs, _ in BUILTIN_META:
+            others = sorted(ex.variables(lhs) - {"r"})
+            for _ in range(30):
+                d = make_domain(rng.choice((2, 3)))
+                r = var(f"r{rng.randrange(2)}", ex.RANDOM)
+                bind = {"r": r}
+                for name in others:
+                    part = random_expr(rng, d.bits, 2, 1, depth=2)
+                    if rng.random() < 0.5:
+                        part = binop(rng.choice(BINOPS), part, r)
+                    bind[name] = part
+                e = _instantiate(lhs, bind)
+                if rng.random() < 0.3:
+                    e = binop(rng.choice(BINOPS), e,
+                              random_expr(rng, d.bits, 2, 1, depth=1))
+                got = apply_meta_theorems(e, d)
+                if got is e:
+                    refused += 1
+                else:
+                    fired += 1
+                    assert same_distributions(e, got, d), pretty(e)
+        assert fired > 5 and refused > 5

@@ -15,6 +15,7 @@ from conftest import (
     replayed_gap,
     starts,
     stub_solver,
+    var_counts,
 )
 
 from maskcheck import (
@@ -259,7 +260,7 @@ class TestFragmentSolver:
         query = encode_psi(e, q, D2)
         got = check_sat(query, f"{sys.executable} {FRAGMENT_SOLVER}")
         assert got.kind == SAT
-        names = {v.name: v.kind for v in ex.var_counts(e)
+        names = {v.name: v.kind for v in var_counts(e)
                  if v.kind != ex.RANDOM}
         s1 = {n: got.model[("p_" if kind == ex.PUBLIC else "k_") + n]
               for n, kind in names.items()}
